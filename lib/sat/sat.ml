@@ -1,7 +1,26 @@
 (* CDCL solver in the MiniSat lineage: two-watched literals, VSIDS with a
    binary heap, phase saving, 1UIP learning with local minimization, Luby
    restarts and learnt-clause reduction.  Performance matters here: the
-   bit-blasted BMC instances reach hundreds of thousands of clauses. *)
+   bit-blasted BMC instances reach hundreds of thousands of clauses.
+
+   Clause storage is one flat [int array] arena.  A clause is the int
+   offset of its header:
+
+     c+0  header: size lsl 2, lor 2 if deleted, lor 1 if learnt
+     c+1  LBD
+     c+2  activity slot (learnt clauses; an index into the unboxed [act]
+          float array), unused for problem clauses
+     c+3  the literals, inline
+
+   Watch lists, the [clauses]/[learnts] databases and reasons hold
+   offsets.  A reason is one int: -1 for none (decision, assumption or
+   level-0 fact), a literal [>= 0] for a binary implication (the
+   antecedent, i.e. the clause's other literal), and [-2 - c] for the
+   clause at offset [c].  Offset 0 is a reserved two-literal scratch
+   clause that a binary conflict is written into.  Deleted clauses stay
+   in place until [compact] slides the live ones down the same array;
+   that is the only time an offset moves, and it rewrites every watch
+   entry and trail reason on the way. *)
 
 module Metrics = Sqed_obs.Metrics
 module Trace = Sqed_obs.Trace
@@ -23,6 +42,7 @@ let m_conflicts = Metrics.counter "sat.conflicts"
 let m_restarts = Metrics.counter "sat.restarts"
 let h_learnt_len = Metrics.histogram "sat.learnt_clause_len"
 let h_restart_conflicts = Metrics.histogram "sat.restart_conflicts"
+let m_compactions = Metrics.counter "sat.arena.compactions"
 let sp_solve = Trace.kind ~cat:"sat" "sat.solve"
 
 (* Preprocessing counters (see Simplify).  Registered eagerly so they
@@ -44,43 +64,14 @@ let negate l = l lxor 1
 let var_of l = l lsr 1
 let is_pos l = l land 1 = 0
 
-type clause = {
-  mutable lits : lit array;
-  mutable act : float;
-  mutable lbd : int;
-  learnt : bool;
-  mutable deleted : bool;
-}
-
-(* Growable array of clauses (clause databases). *)
-module Cvec = struct
-  type t = { mutable data : clause array; mutable sz : int }
-
-  let dummy_clause =
-    { lits = [||]; act = 0.0; lbd = 0; learnt = false; deleted = true }
-  let create () = { data = Array.make 4 dummy_clause; sz = 0 }
-
-  let push v c =
-    if v.sz = Array.length v.data then begin
-      let d = Array.make (2 * v.sz) dummy_clause in
-      Array.blit v.data 0 d 0 v.sz;
-      v.data <- d
-    end;
-    v.data.(v.sz) <- c;
-    v.sz <- v.sz + 1
-
-  let clear v = v.sz <- 0
-end
-
-(* Binary clauses get dedicated watch lists that store only the blocker
-   literal — the clause's other literal, which for a binary clause is
-   also the implied literal.  A binary watcher is therefore one immediate
-   int: visiting it is a single array load plus an assignment lookup, and
-   binary propagation never dereferences clause memory at all.  The
+(* Growable int vector: clause databases and long-clause watch lists
+   (clause offsets), binary watch lists (blocker literals).  A binary
+   watcher stores only the clause's other literal, which is also the
+   implied one, so binary propagation never touches the arena.  The
    backing array starts as a shared empty sentinel and is materialised on
-   first push (most binary-watch slots are never used, and a fresh solver
-   is created for every CEGIS candidate, so per-literal setup allocation
-   is itself on the hot path). *)
+   first push: most watch slots are never used, and a fresh solver is
+   created for every CEGIS candidate, so per-literal setup allocation is
+   itself on the hot path. *)
 module Ivec = struct
   type t = { mutable data : int array; mutable sz : int }
 
@@ -96,22 +87,27 @@ module Ivec = struct
     end;
     v.data.(v.sz) <- x;
     v.sz <- v.sz + 1
+
+  let clear v = v.sz <- 0
 end
 
-(* Reasons are stored unboxed in a single [Obj.t] array: an immediate -1
-   for "decision / no reason", an immediate literal for a binary
-   implication (the antecedent is the clause's other literal — the clause
-   itself is never needed again, binary clauses being immune to
-   [reduce_db]), or the reason clause itself for longer clauses.  This
-   keeps binary propagation completely allocation-free: no [Some] cell,
-   no clause pointer.  [Obj] only bypasses the compile-time type, which
-   the accessors below re-impose; mixing immediates and pointers in one
-   array is fine for the GC. *)
-let no_reason : Obj.t = Obj.repr (-1)
-let[@inline] reason_of_clause (c : clause) : Obj.t = Obj.repr c
-let[@inline] reason_of_lit (l : lit) : Obj.t = Obj.repr (l : int)
-let[@inline] reason_is_lit (r : Obj.t) = Obj.is_int r && (Obj.obj r : int) >= 0
-let[@inline] reason_is_none (r : Obj.t) = Obj.is_int r && (Obj.obj r : int) < 0
+(* Arena clause layout (see the header comment). *)
+let hdr_words = 3
+let learnt_bit = 1
+let deleted_bit = 2
+let[@inline] hdr_size h = h lsr 2
+
+(* The scratch clause a binary conflict is written into. *)
+let scratch = 0
+
+let fresh_arena cap =
+  let a = Array.make cap 0 in
+  a.(scratch) <- 2 lsl 2;
+  a
+
+let no_reason = -1
+let[@inline] reason_of_clause c = -2 - c
+let[@inline] clause_of_reason r = -2 - r
 
 type stats = {
   decisions : int;
@@ -162,13 +158,18 @@ type exchange = {
 
 type t = {
   mutable nvars : int;
-  clauses : Cvec.t; (* problem clauses *)
-  learnts : Cvec.t;
-  mutable watches : Cvec.t array; (* clauses of length >= 3, by literal *)
+  mutable arena : int array; (* clause store, see the header comment *)
+  mutable arena_top : int; (* first free word *)
+  mutable arena_waste : int; (* words held by deleted clauses *)
+  mutable act : float array; (* learnt-clause activities, by slot *)
+  mutable act_top : int;
+  clauses : Ivec.t; (* problem clauses *)
+  learnts : Ivec.t;
+  mutable watches : Ivec.t array; (* clauses of length >= 3, by literal *)
   mutable bin_watches : Ivec.t array; (* binary blockers, by literal *)
   mutable assign : int array; (* per var: -1 undef, 0 false, 1 true *)
   mutable level : int array;
-  mutable reason : Obj.t array; (* see the reason encoding above *)
+  mutable reason : int array; (* see the reason encoding above *)
   mutable activity : float array;
   mutable polarity : bool array; (* saved phase *)
   mutable seen : bool array;
@@ -177,6 +178,22 @@ type t = {
   mutable trail_lim : int array;
   mutable trail_lim_sz : int;
   mutable qhead : int;
+  (* Conflict-analysis buffers.  [an_buf] holds the learnt literals in
+     marking order ([0, an_n)), then the literals minimization proved
+     redundant ([an_n, an_extra)), which need their [seen] marks cleared;
+     both are distinct variables, so [nvars] slots suffice.  [an_stack]
+     is the minimization walk's (literal, next antecedent) frames;
+     [lvl_stamp] counts an LBD's distinct levels.  The learnt clause
+     itself is written straight into the arena's free tail. *)
+  mutable an_buf : int array;
+  mutable an_n : int;
+  mutable an_extra : int;
+  mutable an_path : int;
+  mutable an_len : int;
+  mutable an_lbd : int;
+  an_stack : int array;
+  mutable lvl_stamp : int array;
+  mutable stamp : int;
   mutable heap : int array;
   mutable heap_sz : int;
   mutable heap_pos : int array; (* -1 if not in heap *)
@@ -218,12 +235,20 @@ type t = {
 
 let clause_decay = 1.0 /. 0.999
 
+(* Minimization gives up beyond this many frames (see [lit_redundant]). *)
+let max_frames = 49
+
 let create () =
   {
     nvars = 0;
-    clauses = Cvec.create ();
-    learnts = Cvec.create ();
-    watches = Array.init 2 (fun _ -> Cvec.create ());
+    arena = fresh_arena 256;
+    arena_top = hdr_words + 2;
+    arena_waste = 0;
+    act = [||];
+    act_top = 0;
+    clauses = Ivec.create ();
+    learnts = Ivec.create ();
+    watches = Array.init 2 (fun _ -> Ivec.create ());
     bin_watches = Array.init 2 (fun _ -> Ivec.create ());
     assign = Array.make 1 (-1);
     level = Array.make 1 0;
@@ -236,6 +261,15 @@ let create () =
     trail_lim = Array.make 16 0;
     trail_lim_sz = 0;
     qhead = 0;
+    an_buf = Array.make 1 0;
+    an_n = 0;
+    an_extra = 0;
+    an_path = 0;
+    an_len = 0;
+    an_lbd = 0;
+    an_stack = Array.make (2 * max_frames) 0;
+    lvl_stamp = [||];
+    stamp = 0;
     heap = Array.make 16 0;
     heap_sz = 0;
     heap_pos = Array.make 1 (-1);
@@ -265,7 +299,7 @@ let create () =
   }
 
 let num_vars s = s.nvars
-let num_clauses s = s.clauses.Cvec.sz
+let num_clauses s = s.clauses.Ivec.sz
 
 let stats s =
   {
@@ -391,13 +425,14 @@ let new_var s =
   s.activity <- grow_array s.activity n 0.0;
   s.polarity <- grow_array s.polarity n false;
   s.seen <- grow_array s.seen n false;
+  s.an_buf <- grow_array s.an_buf n 0;
   s.frozen <- grow_array s.frozen n false;
   s.elim <- grow_array s.elim n false;
   s.heap_pos <- grow_array s.heap_pos n (-1);
   if Array.length s.watches < 2 * n then begin
     let len = max (2 * n) (2 * Array.length s.watches) in
     let old = Array.length s.watches in
-    let d = Array.init len (fun i -> if i < old then s.watches.(i) else Cvec.create ()) in
+    let d = Array.init len (fun i -> if i < old then s.watches.(i) else Ivec.create ()) in
     s.watches <- d;
     let db = Array.init len (fun i -> if i < old then s.bin_watches.(i) else Ivec.create ()) in
     s.bin_watches <- db
@@ -434,29 +469,191 @@ let var_bump s v =
   if s.heap_pos.(v) >= 0 then heap_up s s.heap_pos.(v)
 
 let cla_bump s c =
-  c.act <- c.act +. s.cla_inc;
-  if c.act > 1e20 then begin
-    for i = 0 to s.learnts.Cvec.sz - 1 do
-      let d = s.learnts.Cvec.data.(i) in
-      d.act <- d.act *. 1e-20
+  let k = s.arena.(c + 2) in
+  let x = s.act.(k) +. s.cla_inc in
+  s.act.(k) <- x;
+  if x > 1e20 then begin
+    for i = 0 to s.learnts.Ivec.sz - 1 do
+      let k = s.arena.(s.learnts.Ivec.data.(i) + 2) in
+      s.act.(k) <- s.act.(k) *. 1e-20
     done;
     s.cla_inc <- s.cla_inc *. 1e-20
   end
 
+(* -- clause arena ------------------------------------------------------ *)
+
+(* Make room for a clause of [n] literals at the free tail.  Growth is
+   1.5x: the arena is the largest object a deep BMC run keeps. *)
+let reserve s n =
+  let need = s.arena_top + hdr_words + n in
+  if need > Array.length s.arena then begin
+    let a = Array.make (max need (Array.length s.arena * 3 / 2)) 0 in
+    Array.blit s.arena 0 a 0 s.arena_top;
+    s.arena <- a
+  end
+
+let new_act_slot s x =
+  if s.act_top = Array.length s.act then begin
+    let d = Array.make (max 16 (s.act_top * 3 / 2)) 0.0 in
+    Array.blit s.act 0 d 0 s.act_top;
+    s.act <- d
+  end;
+  s.act.(s.act_top) <- x;
+  s.act_top <- s.act_top + 1;
+  s.act_top - 1
+
+(* Turn the [n] literals already written at the (reserved) free tail into
+   a clause and return its offset.  Learnt clauses take fresh activity
+   slots in allocation order, so slots ascend with offsets — [compact]
+   relies on that. *)
+let commit s ~learnt ~lbd ?(act = 0.0) n =
+  let c = s.arena_top in
+  let a = s.arena in
+  a.(c) <- (n lsl 2) lor (if learnt then learnt_bit else 0);
+  a.(c + 1) <- lbd;
+  a.(c + 2) <- (if learnt then new_act_slot s act else 0);
+  s.arena_top <- c + hdr_words + n;
+  c
+
+let alloc_clause s ~learnt ~lbd ?act lits =
+  let n = Array.length lits in
+  reserve s n;
+  Array.blit lits 0 s.arena (s.arena_top + hdr_words) n;
+  commit s ~learnt ~lbd ?act n
+
+let clause_lits s c =
+  Array.sub s.arena (c + hdr_words) (hdr_size s.arena.(c))
+
+let delete_clause s c =
+  let h = s.arena.(c) in
+  s.arena.(c) <- h lor deleted_bit;
+  s.arena_waste <- s.arena_waste + hdr_words + hdr_size h
+
+(* Slide the live clauses down the same array, keeping their order, and
+   rewrite every reference: watch entries (dropping deleted ones, keeping
+   each list's order), the clause databases and the reasons on the trail
+   (a variable off the trail never holds a clause reason).  Three passes,
+   so two arenas are never live at once:
+   1. give each live clause its new offset, parked in its activity word,
+      and slide learnt activities down to their new (ascending) slots;
+   2. rewrite references while every header is still in place;
+   3. move the clauses; a destination never passes its source. *)
+let compact s =
+  let a = s.arena in
+  let top = s.arena_top in
+  let off = ref 0 and dst = ref 0 and slot = ref 0 in
+  while !off < top do
+    let h = a.(!off) in
+    if h land deleted_bit = 0 then begin
+      if h land learnt_bit <> 0 then begin
+        s.act.(!slot) <- s.act.(a.(!off + 2));
+        incr slot
+      end;
+      a.(!off + 2) <- !dst;
+      dst := !dst + hdr_words + hdr_size h
+    end;
+    off := !off + hdr_words + hdr_size h
+  done;
+  let relocate (v : Ivec.t) =
+    let j = ref 0 in
+    for i = 0 to v.Ivec.sz - 1 do
+      let c = v.Ivec.data.(i) in
+      if a.(c) land deleted_bit = 0 then begin
+        v.Ivec.data.(!j) <- a.(c + 2);
+        incr j
+      end
+    done;
+    v.Ivec.sz <- !j
+  in
+  Array.iter relocate s.watches;
+  relocate s.clauses;
+  relocate s.learnts;
+  for i = 0 to s.trail_sz - 1 do
+    let v = var_of s.trail.(i) in
+    let r = s.reason.(v) in
+    if r < no_reason then
+      s.reason.(v) <- reason_of_clause a.(clause_of_reason r + 2)
+  done;
+  off := 0;
+  slot := 0;
+  while !off < top do
+    let h = a.(!off) in
+    let len = hdr_words + hdr_size h in
+    if h land deleted_bit = 0 then begin
+      let d = a.(!off + 2) in
+      Array.blit a !off a d len;
+      if h land learnt_bit <> 0 then begin
+        a.(d + 2) <- !slot;
+        incr slot
+      end
+      else a.(d + 2) <- 0
+    end;
+    off := !off + len
+  done;
+  s.arena_top <- !dst;
+  s.act_top <- !slot;
+  s.arena_waste <- 0;
+  Metrics.incr m_compactions
+
+(* Reclaim once a quarter of the arena is garbage. *)
+let maybe_compact s = if 4 * s.arena_waste > s.arena_top then compact s
+
 (* -- clause addition -------------------------------------------------- *)
 
 let watch s c =
-  if Array.length c.lits = 2 then begin
+  let a = s.arena in
+  let l0 = a.(c + hdr_words) and l1 = a.(c + hdr_words + 1) in
+  if hdr_size a.(c) = 2 then begin
     (* Both literals stay watched forever (binary watchers are never moved
        and binary clauses are never deleted by reduce_db), so only the
        blocker — the other, implied literal — needs to be recorded. *)
-    Ivec.push s.bin_watches.(c.lits.(0)) c.lits.(1);
-    Ivec.push s.bin_watches.(c.lits.(1)) c.lits.(0)
+    Ivec.push s.bin_watches.(l0) l1;
+    Ivec.push s.bin_watches.(l1) l0
   end
   else begin
-    Cvec.push s.watches.(c.lits.(0)) c;
-    Cvec.push s.watches.(c.lits.(1)) c
+    Ivec.push s.watches.(l0) c;
+    Ivec.push s.watches.(l1) c
   end
+
+(* Copy [lits] to the free tail, sorted, without duplicates and without
+   literals false at level 0.  Returns how many literals remain, or -1
+   for a tautology or a clause satisfied at level 0.  This is the
+   encoder's hot path (every Tseitin/AIG clause lands here), so it sorts
+   monomorphically in place and allocates nothing. *)
+let normalize s lits =
+  let n = Array.length lits in
+  reserve s n;
+  let a = s.arena and base = s.arena_top + hdr_words in
+  Array.blit lits 0 a base n;
+  for i = base + 1 to base + n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= base && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done;
+  let taut = ref false in
+  let k = ref base in
+  let last = ref (-2) in
+  for i = base to base + n - 1 do
+    let l = a.(i) in
+    if l = negate !last then taut := true;
+    if l <> !last then begin
+      last := l;
+      let v = lit_val s l in
+      if v >= 0 && s.level.(var_of l) = 0 then begin
+        if v = 1 then taut := true (* satisfied at top level *)
+        (* false at top level: drop *)
+      end
+      else begin
+        a.(!k) <- l;
+        incr k
+      end
+    end
+  done;
+  if !taut then -1 else !k - base
 
 exception Early_unsat
 
@@ -468,69 +665,26 @@ let rec add_clause_internal s lits =
       Array.iter
         (fun l -> if s.elim.(var_of l) then restore_vars s (var_of l))
         lits;
-    (* Simplify: drop duplicate and false (level-0) literals; detect
-       tautologies and satisfied clauses.  This is the encoder's hot path
-       (every Tseitin/AIG clause lands here), so it sorts monomorphically
-       and compacts in place instead of going through lists. *)
-    let lits = Array.copy lits in
-    let n = Array.length lits in
-    for i = 1 to n - 1 do
-      let x = lits.(i) in
-      let j = ref (i - 1) in
-      while !j >= 0 && lits.(!j) > x do
-        lits.(!j + 1) <- lits.(!j);
-        decr j
-      done;
-      lits.(!j + 1) <- x
-    done;
-    let taut = ref false in
-    let k = ref 0 in
-    let last = ref (-2) in
-    for i = 0 to n - 1 do
-      let l = lits.(i) in
-      if l = negate !last then taut := true;
-      if l <> !last then begin
-        last := l;
-        let v = lit_val s l in
-        if v >= 0 && s.level.(var_of l) = 0 then begin
-          if v = 1 then taut := true (* satisfied at top level *)
-          (* false at top level: drop *)
-        end
-        else begin
-          lits.(!k) <- l;
-          incr k
-        end
-      end
-    done;
-    if not !taut then begin
-      match !k with
-      | 0 ->
-          s.ok <- false;
-          raise Early_unsat
-      | 1 ->
-          let l = lits.(0) in
-          if decision_level s <> 0 then
-            invalid_arg "Sat.add_clause: units only at level 0";
-          (match lit_val s l with
-          | 1 -> ()
-          | 0 ->
-              s.ok <- false;
-              raise Early_unsat
-          | _ -> enqueue s l no_reason)
-      | m ->
-          let c =
-            {
-              lits = (if m = n then lits else Array.sub lits 0 m);
-              act = 0.0;
-              lbd = 0;
-              learnt = false;
-              deleted = false;
-            }
-          in
-          Cvec.push s.clauses c;
-          watch s c;
-          Metrics.incr m_clauses
-    end
+    match normalize s lits with
+    | -1 -> ()
+    | 0 ->
+        s.ok <- false;
+        raise Early_unsat
+    | 1 -> (
+        let l = s.arena.(s.arena_top + hdr_words) in
+        if decision_level s <> 0 then
+          invalid_arg "Sat.add_clause: units only at level 0";
+        match lit_val s l with
+        | 1 -> ()
+        | 0 ->
+            s.ok <- false;
+            raise Early_unsat
+        | _ -> enqueue s l no_reason)
+    | m ->
+        let c = commit s ~learnt:false ~lbd:0 m in
+        Ivec.push s.clauses c;
+        watch s c;
+        Metrics.incr m_clauses
   end
 
 (* Un-eliminate [v0]: put its stored clauses back into the live set.
@@ -590,137 +744,138 @@ let set_simplify s b = s.simplify_on <- b
 
 (* -- propagation ------------------------------------------------------ *)
 
+(* Returns the conflicting clause's offset, or -1. *)
 let propagate s =
-  (* The conflict flag is a clause with a physical-equality sentinel:
-     comparing against [None] per watcher visit would call the
-     polymorphic equality primitive in the hottest loop of the solver. *)
-  let none = Cvec.dummy_clause in
-  let confl = ref none in
-  while !confl == none && s.qhead < s.trail_sz do
+  let confl = ref (-1) in
+  (* Nothing allocates clauses during propagation, so the arena can be
+     held in a local. *)
+  let a = s.arena in
+  while !confl < 0 && s.qhead < s.trail_sz do
     let p = s.trail.(s.qhead) in
     s.qhead <- s.qhead + 1;
     s.n_propagations <- s.n_propagations + 1;
     let false_lit = negate p in
     (* Binary clauses first: each visit is one int load plus an
        assignment lookup — the blocker is the implied literal, so neither
-       propagation nor the recorded reason ever touches clause memory.  A
-       conflicting binary clause is materialised on the spot (conflicts
-       are orders of magnitude rarer than visits). *)
+       propagation nor the recorded reason ever touches the arena.  A
+       conflicting binary clause is written into the scratch clause. *)
     let bw = s.bin_watches.(false_lit) in
     let nb = bw.Ivec.sz in
     let bi = ref 0 in
-    while !confl == none && !bi < nb do
+    while !confl < 0 && !bi < nb do
       let blit = bw.Ivec.data.(!bi) in
       (match lit_val s blit with
       | 1 -> ()
       | 0 ->
           s.qhead <- s.trail_sz;
-          confl :=
-            {
-              lits = [| blit; false_lit |];
-              act = 0.0;
-              lbd = 0;
-              learnt = false;
-              deleted = false;
-            }
-      | _ -> enqueue s blit (reason_of_lit false_lit));
+          a.(scratch + hdr_words) <- blit;
+          a.(scratch + hdr_words + 1) <- false_lit;
+          confl := scratch
+      | _ -> enqueue s blit false_lit);
       incr bi
     done;
-    if !confl == none then begin
+    if !confl < 0 then begin
+      (* Pushes below go to other literals' lists, never to this one, so
+         its backing array stays put. *)
       let ws = s.watches.(false_lit) in
+      let wd = ws.Ivec.data in
       let i = ref 0 and j = ref 0 in
-      let n = ws.Cvec.sz in
-      (try
-         while !i < n do
-           let c = ws.Cvec.data.(!i) in
-           incr i;
-           if c.deleted then () (* dropped lazily *)
-           else begin
-             (* Make sure the false literal is at position 1. *)
-             if c.lits.(0) = false_lit then begin
-               c.lits.(0) <- c.lits.(1);
-               c.lits.(1) <- false_lit
-             end;
-             let first = c.lits.(0) in
-             if lit_val s first = 1 then begin
-               ws.Cvec.data.(!j) <- c;
-               incr j
-             end
-             else begin
-               (* Look for a new literal to watch. *)
-               let len = Array.length c.lits in
-               let k = ref 2 in
-               while !k < len && lit_val s c.lits.(!k) = 0 do
-                 incr k
-               done;
-               if !k < len then begin
-                 c.lits.(1) <- c.lits.(!k);
-                 c.lits.(!k) <- false_lit;
-                 Cvec.push s.watches.(c.lits.(1)) c
-               end
-               else begin
-                 ws.Cvec.data.(!j) <- c;
-                 incr j;
-                 if lit_val s first = 0 then begin
-                   (* Conflict: copy the remaining watchers back. *)
-                   s.qhead <- s.trail_sz;
-                   while !i < n do
-                     ws.Cvec.data.(!j) <- ws.Cvec.data.(!i);
-                     incr i;
-                     incr j
-                   done;
-                   confl := c;
-                   raise Exit
-                 end
-                 else enqueue s first (reason_of_clause c)
-               end
-             end
-           end
-         done
-       with Exit -> ());
-      ws.Cvec.sz <- !j
+      let n = ws.Ivec.sz in
+      while !i < n do
+        let c = wd.(!i) in
+        incr i;
+        let h = a.(c) in
+        if h land deleted_bit <> 0 then () (* dropped lazily *)
+        else begin
+          let l0 = c + hdr_words in
+          (* Make sure the false literal is at position 1. *)
+          if a.(l0) = false_lit then begin
+            a.(l0) <- a.(l0 + 1);
+            a.(l0 + 1) <- false_lit
+          end;
+          let first = a.(l0) in
+          if lit_val s first = 1 then begin
+            wd.(!j) <- c;
+            incr j
+          end
+          else begin
+            (* Look for a new literal to watch. *)
+            let stop = l0 + hdr_size h in
+            let k = ref (l0 + 2) in
+            while !k < stop && lit_val s a.(!k) = 0 do
+              incr k
+            done;
+            if !k < stop then begin
+              let nl = a.(!k) in
+              a.(l0 + 1) <- nl;
+              a.(!k) <- false_lit;
+              Ivec.push s.watches.(nl) c
+            end
+            else begin
+              wd.(!j) <- c;
+              incr j;
+              if lit_val s first = 0 then begin
+                (* Conflict: copy the remaining watchers back. *)
+                s.qhead <- s.trail_sz;
+                while !i < n do
+                  wd.(!j) <- wd.(!i);
+                  incr i;
+                  incr j
+                done;
+                confl := c
+              end
+              else enqueue s first (reason_of_clause c)
+            end
+          end
+        end
+      done;
+      ws.Ivec.sz <- !j
     end
   done;
-  if !confl == none then None else Some !confl
+  !confl
 
 (* -- preprocessing ----------------------------------------------------- *)
+
+(* Does some literal of clause [c] satisfy [f]? *)
+let exists_lit s c f =
+  let a = s.arena in
+  let stop = c + hdr_words + hdr_size a.(c) in
+  let rec go k = k < stop && (f a.(k) || go (k + 1)) in
+  go (c + hdr_words)
+
+(* The literals of clause [c] not assigned yet, in order. *)
+let unassigned s c =
+  let a = s.arena in
+  let first = c + hdr_words in
+  let stop = first + hdr_size a.(c) in
+  let n = ref 0 in
+  for k = first to stop - 1 do
+    if lit_val s a.(k) = -1 then incr n
+  done;
+  let u = Array.make !n 0 in
+  n := 0;
+  for k = first to stop - 1 do
+    if lit_val s a.(k) = -1 then begin
+      u.(!n) <- a.(k);
+      incr n
+    end
+  done;
+  u
 
 (* Run one Simplify pass over the problem clauses and rebuild the solver
    around the outcome.  Must be called at decision level 0; sets [ok]
    false if the pass derives the empty clause. *)
 let simplify_body s =
-  (match propagate s with
-  | Some _ -> s.ok <- false
-  | None -> ());
+  if propagate s >= 0 then s.ok <- false;
   if s.ok then begin
     (* Extract the live problem clauses with level-0 values folded in.
        After a full level-0 propagation every unsatisfied clause has at
        least two unassigned literals. *)
     let input = ref [] in
-    for i = 0 to s.clauses.Cvec.sz - 1 do
-      let c = s.clauses.Cvec.data.(i) in
-      if not c.deleted then begin
-        let sat_ = ref false and n = ref 0 in
-        Array.iter
-          (fun l ->
-            match lit_val s l with
-            | 1 -> sat_ := true
-            | 0 -> ()
-            | _ -> incr n)
-          c.lits;
-        if not !sat_ then begin
-          let a = Array.make !n 0 in
-          let k = ref 0 in
-          Array.iter
-            (fun l ->
-              if lit_val s l = -1 then begin
-                a.(!k) <- l;
-                incr k
-              end)
-            c.lits;
-          input := a :: !input
-        end
-      end
+    for i = 0 to s.clauses.Ivec.sz - 1 do
+      let c = s.clauses.Ivec.data.(i) in
+      if not (exists_lit s c (fun l -> lit_val s l = 1)) then
+        input := unassigned s c :: !input
     done;
     (* Preprocessing degrades rather than raising: Simplify stops at the
        next consistent boundary when the budget runs out, and the pass
@@ -744,14 +899,25 @@ let simplify_body s =
       s.elim_stack <- List.rev_append o.Simplify.eliminated s.elim_stack;
       (* The whole clause database is rebuilt, so every watch list —
          including the blocker-only binary lists, which cannot express
-         deletion — is cleared and re-filled. *)
-      Array.iter (fun w -> Cvec.clear w) s.watches;
-      Array.iter (fun (w : Ivec.t) -> w.Ivec.sz <- 0) s.bin_watches;
-      Cvec.clear s.clauses;
+         deletion — is cleared and re-filled.  Old reason clauses no
+         longer exist; level-0 implications need no justification anyway
+         (analyze never looks at level-0 reasons). *)
+      Array.iter Ivec.clear s.watches;
+      Array.iter Ivec.clear s.bin_watches;
+      for i = 0 to s.trail_sz - 1 do
+        s.reason.(var_of s.trail.(i)) <- no_reason
+      done;
+      for i = 0 to s.clauses.Ivec.sz - 1 do
+        delete_clause s s.clauses.Ivec.data.(i)
+      done;
+      Ivec.clear s.clauses;
+      (* Reclaim the old problem clauses before the new ones land, so the
+         rebuild does not grow the arena. *)
+      compact s;
       List.iter
         (fun lits ->
-          let c = { lits; act = 0.0; lbd = 0; learnt = false; deleted = false } in
-          Cvec.push s.clauses c;
+          let c = alloc_clause s ~learnt:false ~lbd:0 lits in
+          Ivec.push s.clauses c;
           watch s c)
         o.Simplify.clauses;
       (try
@@ -765,70 +931,53 @@ let simplify_body s =
              | _ -> enqueue s l no_reason)
            o.Simplify.units
        with Exit -> ());
-      (* Old reason clauses no longer exist; level-0 implications need no
-         justification anyway (analyze never looks at level-0 reasons). *)
-      for i = 0 to s.trail_sz - 1 do
-        s.reason.(var_of s.trail.(i)) <- no_reason
-      done;
       (* Learnt clauses are implied, so they may stay — unless they
          mention an eliminated variable (those clauses must disappear
          with it) or simplify at level 0. *)
       if s.ok then begin
-        let old = Array.sub s.learnts.Cvec.data 0 s.learnts.Cvec.sz in
-        Cvec.clear s.learnts;
-        (try
-           Array.iter
-             (fun c ->
-               if not c.deleted then begin
-                 let keep = ref true and sat_ = ref false and n = ref 0 in
-                 Array.iter
-                   (fun l ->
-                     if s.elim.(var_of l) then keep := false
-                     else
-                       match lit_val s l with
-                       | 1 -> sat_ := true
-                       | 0 -> ()
-                       | _ -> incr n)
-                   c.lits;
-                 if !keep && not !sat_ then
-                   if !n = 0 then begin
-                     s.ok <- false;
-                     raise Exit
-                   end
-                   else if !n = 1 then
-                     Array.iter
-                       (fun l ->
-                         if lit_val s l = -1 then enqueue s l no_reason)
-                       c.lits
-                   else begin
-                     if !n < Array.length c.lits then begin
-                       let a = Array.make !n 0 in
-                       let k = ref 0 in
-                       Array.iter
-                         (fun l ->
-                           if lit_val s l = -1 then begin
-                             a.(!k) <- l;
-                             incr k
-                           end)
-                         c.lits;
-                       c.lits <- a
-                     end;
-                     Cvec.push s.learnts c;
-                     watch s c
-                   end
-               end)
-             old
-         with Exit -> ())
+        let old = Array.sub s.learnts.Ivec.data 0 s.learnts.Ivec.sz in
+        Ivec.clear s.learnts;
+        Array.iter
+          (fun c ->
+            let u = unassigned s c in
+            let n = Array.length u in
+            if
+              (not s.ok)
+              || exists_lit s c (fun l -> s.elim.(var_of l) || lit_val s l = 1)
+            then delete_clause s c
+            else if n = 0 then begin
+              s.ok <- false;
+              delete_clause s c
+            end
+            else if n = 1 then begin
+              enqueue s u.(0) no_reason;
+              delete_clause s c
+            end
+            else if n < hdr_size s.arena.(c) then begin
+              (* Shrunk: re-allocated at the tail, keeping LBD and
+                 activity. *)
+              let c' =
+                alloc_clause s ~learnt:true ~lbd:s.arena.(c + 1)
+                  ~act:s.act.(s.arena.(c + 2)) u
+              in
+              delete_clause s c;
+              Ivec.push s.learnts c';
+              watch s c'
+            end
+            else begin
+              Ivec.push s.learnts c;
+              watch s c
+            end)
+          old
       end;
       (* Re-propagate the whole level-0 trail against the new database:
          resolvents can propagate under literals that were already set. *)
       if s.ok then begin
         s.qhead <- 0;
-        match propagate s with
-        | Some _ -> s.ok <- false
-        | None -> ()
+        if propagate s >= 0 then s.ok <- false
       end;
-      s.clauses_at_simplify <- s.clauses.Cvec.sz
+      maybe_compact s;
+      s.clauses_at_simplify <- s.clauses.Ivec.sz
     end
   end
 
@@ -853,7 +1002,7 @@ let simplify_threshold = 256
 let maybe_simplify s =
   if
     s.simplify_on && s.ok && s.trail_lim_sz = 0 && s.n_solves > 0
-    && s.clauses.Cvec.sz - s.clauses_at_simplify
+    && s.clauses.Ivec.sz - s.clauses_at_simplify
        >= max simplify_threshold (s.clauses_at_simplify / 4)
   then Trace.with_span sp_simplify (fun () -> simplify_body s)
 
@@ -908,39 +1057,92 @@ let new_decision_level s =
 
 (* -- conflict analysis (first UIP) ------------------------------------- *)
 
+(* Mark one antecedent literal of the current reason/conflict: current-
+   level literals are counted on the path, lower-level ones join the
+   learnt clause. *)
+let analyze_mark s q =
+  let v = var_of q in
+  if (not s.seen.(v)) && s.level.(v) > 0 then begin
+    s.seen.(v) <- true;
+    var_bump s v;
+    if s.level.(v) >= decision_level s then s.an_path <- s.an_path + 1
+    else begin
+      s.an_buf.(s.an_n) <- q;
+      s.an_n <- s.an_n + 1
+    end
+  end
+
+(* Clause minimization: a literal is redundant when every path through
+   its implication-graph ancestry ends in literals already in the learnt
+   clause (or fixed at level 0).  The walk is iterative over the fixed
+   (literal, next-antecedent) frame stack, so deep chains cost neither
+   OCaml stack nor heap; a frame's reason is re-read from its variable.
+   The probe gives up beyond [max_frames] frames (failing is always
+   sound, it only keeps a removable literal); giving up cheaply matters,
+   because on parity-heavy instances most probes fail and an eager abort
+   is what keeps minimization off the profile.  Literals proved redundant
+   below the top are marked [seen] (and recorded for clearing) so sibling
+   and later probes reuse the result. *)
+let lit_redundant s l0 =
+  if s.reason.(var_of l0) = no_reason then false
+  else begin
+    let a = s.arena and st = s.an_stack in
+    st.(0) <- l0;
+    st.(1) <- 0;
+    let depth = ref 1 and ok = ref true in
+    while !ok && !depth > 0 do
+      let f = 2 * (!depth - 1) in
+      let l = st.(f) and k = st.(f + 1) in
+      let r = s.reason.(var_of l) in
+      let n = if r >= 0 then 1 else hdr_size a.(clause_of_reason r) in
+      if k >= n then begin
+        decr depth;
+        if !depth > 0 then begin
+          s.seen.(var_of l) <- true;
+          s.an_buf.(s.an_extra) <- l;
+          s.an_extra <- s.an_extra + 1
+        end
+      end
+      else begin
+        let q = if r >= 0 then r else a.(clause_of_reason r + hdr_words + k) in
+        st.(f + 1) <- k + 1;
+        if q = negate l || s.level.(var_of q) = 0 || s.seen.(var_of q) then ()
+        else if !depth >= max_frames || s.reason.(var_of q) = no_reason then
+          ok := false
+        else begin
+          st.(f + 2) <- q;
+          st.(f + 3) <- 0;
+          incr depth
+        end
+      end
+    done;
+    !ok
+  end
+
+(* Derive the first-UIP clause of the conflict [confl] (a clause offset).
+   The clause is written at the arena's free tail — asserting literal
+   first, then the kept literals in reverse marking order — but not
+   committed: [an_len] and [an_lbd] describe it for [record_learnt].
+   Returns the backtrack level. *)
 let analyze s confl =
-  let learnt = ref [] in
-  let path = ref 0 in
+  s.an_n <- 0;
+  s.an_path <- 0;
   let p = ref (-1) in
   let idx = ref (s.trail_sz - 1) in
-  let confl = ref (reason_of_clause confl) in
-  let bt_level = ref 0 in
+  let r = ref (reason_of_clause confl) in
   let continue = ref true in
-  (* Mark one antecedent literal of the current reason/conflict. *)
-  let[@inline] mark q =
-    let v = var_of q in
-    if (not s.seen.(v)) && s.level.(v) > 0 then begin
-      s.seen.(v) <- true;
-      var_bump s v;
-      if s.level.(v) >= decision_level s then incr path
-      else begin
-        learnt := q :: !learnt;
-        if s.level.(v) > !bt_level then bt_level := s.level.(v)
-      end
-    end
-  in
   while !continue do
-    (if reason_is_lit !confl then
+    (if !r >= 0 then
        (* Binary implication: the stored literal is the whole antecedent
           (the implied side is skipped exactly as start=1 does below). *)
-       mark (Obj.obj !confl : int)
+       analyze_mark s !r
      else begin
-       assert (not (reason_is_none !confl));
-       let c : clause = Obj.obj !confl in
-       if c.learnt then cla_bump s c;
+       assert (!r <> no_reason);
+       let c = clause_of_reason !r in
+       if s.arena.(c) land learnt_bit <> 0 then cla_bump s c;
        let start = if !p = -1 then 0 else 1 in
-       for k = start to Array.length c.lits - 1 do
-         mark c.lits.(k)
+       for k = start to hdr_size s.arena.(c) - 1 do
+         analyze_mark s s.arena.(c + hdr_words + k)
        done
      end);
     (* Walk the trail backwards to the next marked literal. *)
@@ -950,140 +1152,97 @@ let analyze s confl =
     let q = s.trail.(!idx) in
     decr idx;
     s.seen.(var_of q) <- false;
-    confl := s.reason.(var_of q);
-    decr path;
-    if !path = 0 then begin
+    r := s.reason.(var_of q);
+    s.an_path <- s.an_path - 1;
+    if s.an_path = 0 then begin
       p := negate q;
       continue := false
     end
-    else begin
-      (* [q]'s reason contributes; mark that the first literal of the reason
-         (q itself) is skipped via start=1 in the next round. *)
+    else
+      (* [q]'s reason contributes; its first literal (q itself) is
+         skipped via start=1 in the next round. *)
       p := q
+  done;
+  (* Only the learnt literals are [seen] now; minimize them, probing in
+     reverse marking order. *)
+  reserve s (s.an_n + 1);
+  let a = s.arena and base = s.arena_top + hdr_words in
+  a.(base) <- !p;
+  let m = ref 1 in
+  s.an_extra <- s.an_n;
+  for i = s.an_n - 1 downto 0 do
+    let l = s.an_buf.(i) in
+    if not (lit_redundant s l) then begin
+      a.(base + !m) <- l;
+      incr m
     end
   done;
-  (* Clause minimization: a literal is redundant when every path through
-     its implication-graph ancestry ends in literals already in the learnt
-     clause (or fixed at level 0).  The walk is iterative — an explicit
-     stack of (literal, reason, next-antecedent) frames — so deep chains
-     cost heap, not OCaml stack.  The probe gives up beyond 49 frames
-     (failing is always sound, it only keeps a removable literal); giving
-     up cheaply matters, because on parity-heavy instances most probes
-     fail and an eager abort is what keeps minimization off the
-     profile. *)
-  List.iter (fun l -> s.seen.(var_of l) <- true) !learnt;
-  let extra_seen = ref [] in
-  let lit_redundant l0 =
-    let r0 = s.reason.(var_of l0) in
-    if reason_is_none r0 then false
-    else begin
-      let nant r =
-        if reason_is_lit r then 1 else Array.length (Obj.obj r : clause).lits
-      in
-      let stack = ref [ (l0, r0, nant r0, ref 0) ] in
-      let depth = ref 1 in
-      let ok = ref true in
-      (try
-         while !stack <> [] do
-           match !stack with
-           | [] -> assert false
-           | (l, r, n, k) :: rest ->
-               if !k >= n then begin
-                 (* Every antecedent is covered: [l] is redundant.  Mark
-                    it so sibling probes and later top-level probes reuse
-                    the result (the top literal is already seen). *)
-                 stack := rest;
-                 decr depth;
-                 if rest <> [] then begin
-                   s.seen.(var_of l) <- true;
-                   extra_seen := l :: !extra_seen
-                 end
-               end
-               else begin
-                 let q =
-                   if reason_is_lit r then (Obj.obj r : int)
-                   else (Obj.obj r : clause).lits.(!k)
-                 in
-                 incr k;
-                 if
-                   q = negate l
-                   || s.level.(var_of q) = 0
-                   || s.seen.(var_of q)
-                 then ()
-                 else if !depth >= 49 then begin
-                   ok := false;
-                   raise Exit
-                 end
-                 else begin
-                   let rq = s.reason.(var_of q) in
-                   if reason_is_none rq then begin
-                     ok := false;
-                     raise Exit
-                   end
-                   else begin
-                     stack := (q, rq, nant rq, ref 0) :: !stack;
-                     incr depth
-                   end
-                 end
-               end
-         done
-       with Exit -> ());
-      !ok
+  for i = 0 to s.an_extra - 1 do
+    s.seen.(var_of s.an_buf.(i)) <- false
+  done;
+  (* Backtrack level: the highest level among the kept literals.
+     Literal-block distance: the number of distinct levels, counted with
+     per-level stamps. *)
+  let dl = decision_level s in
+  if Array.length s.lvl_stamp <= dl then
+    s.lvl_stamp <- grow_array s.lvl_stamp (dl + 1) 0;
+  s.stamp <- s.stamp + 1;
+  let bt = ref 0 and lbd = ref 0 in
+  for i = base to base + !m - 1 do
+    let lv = s.level.(var_of a.(i)) in
+    if i > base && lv > !bt then bt := lv;
+    if s.lvl_stamp.(lv) <> s.stamp then begin
+      s.lvl_stamp.(lv) <- s.stamp;
+      incr lbd
     end
-  in
-  let kept = List.filter (fun l -> not (lit_redundant l)) !learnt in
-  List.iter (fun l -> s.seen.(var_of l) <- false) !learnt;
-  List.iter (fun l -> s.seen.(var_of l) <- false) !extra_seen;
-  (* Recompute the backtrack level from the kept literals. *)
-  let bt = List.fold_left (fun acc l -> max acc (s.level.(var_of l))) 0 kept in
-  bt_level := if kept = [] then 0 else bt;
-  (* Literal-block distance: number of distinct decision levels. *)
-  let lbd =
-    let levels = List.sort_uniq compare (List.map (fun l -> s.level.(var_of l)) (!p :: kept)) in
-    List.length levels
-  in
-  (!p :: kept, !bt_level, lbd)
+  done;
+  s.an_len <- !m;
+  s.an_lbd <- !lbd;
+  !bt
 
-let record_learnt s lits lbd =
-  match lits with
-  | [] -> s.ok <- false
-  | [ l ] ->
-      cancel_until s 0;
-      if lit_val s l = 0 then s.ok <- false
-      else if lit_val s l = -1 then enqueue s l no_reason;
-      (* Learnt units are implied by the problem clauses alone
-         (assumptions enter the search as reasonless decisions and are
-         never resolved into learnt clauses), so they are always worth
-         exporting to portfolio peers. *)
-      (match s.exchange with
-      | Some ex -> ex.export [| l |] 1
-      | None -> ())
-  | asserting :: _ ->
-      let arr = Array.of_list lits in
-      (* Put a highest-level literal (other than the asserting one) in
-         position 1 so the watches are correct after backjumping. *)
-      let best = ref 1 in
-      for k = 2 to Array.length arr - 1 do
-        if s.level.(var_of arr.(k)) > s.level.(var_of arr.(!best)) then best := k
-      done;
-      let tmp = arr.(1) in
-      arr.(1) <- arr.(!best);
-      arr.(!best) <- tmp;
-      let c = { lits = arr; act = 0.0; lbd; learnt = true; deleted = false } in
-      cla_bump s c;
-      Cvec.push s.learnts c;
-      watch s c;
-      s.n_learnt_lits <- s.n_learnt_lits + Array.length arr;
-      Metrics.incr m_learnt_clauses;
-      Metrics.observe h_learnt_len (Array.length arr);
-      (* Export a fresh copy: [propagate] reorders [c.lits] in place, so
-         the shared buffer must never alias live clause memory. *)
-      (match s.exchange with
-      | Some ex when lbd <= ex.max_lbd || Array.length arr <= ex.max_len ->
-          ex.export (Array.copy arr) lbd
-      | _ -> ());
-      if Array.length arr = 2 then enqueue s asserting (reason_of_lit arr.(1))
-      else enqueue s asserting (reason_of_clause c)
+(* Install the clause [analyze] left at the free tail, after the
+   backjump. *)
+let record_learnt s =
+  let n = s.an_len and lbd = s.an_lbd in
+  let a = s.arena and base = s.arena_top + hdr_words in
+  let asserting = a.(base) in
+  if n = 1 then begin
+    cancel_until s 0;
+    if lit_val s asserting = 0 then s.ok <- false
+    else if lit_val s asserting = -1 then enqueue s asserting no_reason;
+    (* Learnt units are implied by the problem clauses alone
+       (assumptions enter the search as reasonless decisions and are
+       never resolved into learnt clauses), so they are always worth
+       exporting to portfolio peers. *)
+    match s.exchange with
+    | Some ex -> ex.export [| asserting |] 1
+    | None -> ()
+  end
+  else begin
+    (* Put a highest-level literal (other than the asserting one) in
+       position 1 so the watches are correct after backjumping. *)
+    let best = ref (base + 1) in
+    for k = base + 2 to base + n - 1 do
+      if s.level.(var_of a.(k)) > s.level.(var_of a.(!best)) then best := k
+    done;
+    let tmp = a.(base + 1) in
+    a.(base + 1) <- a.(!best);
+    a.(!best) <- tmp;
+    let c = commit s ~learnt:true ~lbd n in
+    cla_bump s c;
+    Ivec.push s.learnts c;
+    watch s c;
+    s.n_learnt_lits <- s.n_learnt_lits + n;
+    Metrics.incr m_learnt_clauses;
+    Metrics.observe h_learnt_len n;
+    (* Export a copy: [propagate] reorders clause literals in place. *)
+    (match s.exchange with
+    | Some ex when lbd <= ex.max_lbd || n <= ex.max_len ->
+        ex.export (clause_lits s c) lbd
+    | _ -> ());
+    if n = 2 then enqueue s asserting a.(base + 1)
+    else enqueue s asserting (reason_of_clause c)
+  end
 
 (* Splice one peer-learnt clause into the database at decision level 0.
    Imported clauses are implied by the shared problem formula (see
@@ -1097,87 +1256,48 @@ let import_learnt s lits lbd =
   if s.ok && s.trail_lim_sz = 0 then begin
     let keep = ref true in
     Array.iter (fun l -> if s.elim.(var_of l) then keep := false) lits;
-    if !keep then begin
-      let lits = Array.copy lits in
-      let n = Array.length lits in
-      for i = 1 to n - 1 do
-        let x = lits.(i) in
-        let j = ref (i - 1) in
-        while !j >= 0 && lits.(!j) > x do
-          lits.(!j + 1) <- lits.(!j);
-          decr j
-        done;
-        lits.(!j + 1) <- x
-      done;
-      let taut = ref false in
-      let k = ref 0 in
-      let last = ref (-2) in
-      for i = 0 to n - 1 do
-        let l = lits.(i) in
-        if l = negate !last then taut := true;
-        if l <> !last then begin
-          last := l;
-          match lit_val s l with
-          | 1 -> taut := true (* satisfied at top level *)
-          | 0 -> () (* false at top level: drop *)
-          | _ ->
-              lits.(!k) <- l;
-              incr k
-        end
-      done;
-      if not !taut then
-        match !k with
-        | 0 -> s.ok <- false
-        | 1 -> enqueue s lits.(0) no_reason
-        | m ->
-            let c =
-              {
-                lits = (if m = n then lits else Array.sub lits 0 m);
-                act = 0.0;
-                lbd = min lbd m;
-                learnt = true;
-                deleted = false;
-              }
-            in
-            Cvec.push s.learnts c;
-            watch s c
-    end
+    if !keep then
+      match normalize s lits with
+      | -1 -> ()
+      | 0 -> s.ok <- false
+      | 1 -> enqueue s s.arena.(s.arena_top + hdr_words) no_reason
+      | m ->
+          let c = commit s ~learnt:true ~lbd:(min lbd m) m in
+          Ivec.push s.learnts c;
+          watch s c
   end
 
 let import_clauses s cls =
   List.iter (fun (lits, lbd) -> import_learnt s lits lbd) cls;
   (* New units (or an empty clause) must propagate before the caller
      relies on the solver state again. *)
-  if s.ok && s.trail_lim_sz = 0 then
-    match propagate s with Some _ -> s.ok <- false | None -> ()
+  if s.ok && s.trail_lim_sz = 0 && propagate s >= 0 then s.ok <- false
 
 (* -- learnt clause DB reduction ---------------------------------------- *)
 
 let locked s c =
-  Array.length c.lits > 0
-  &&
-  let v = var_of c.lits.(0) in
-  let r = s.reason.(v) in
-  (not (Obj.is_int r)) && (Obj.obj r : clause) == c && s.assign.(v) >= 0
+  let v = var_of s.arena.(c + hdr_words) in
+  s.reason.(v) = reason_of_clause c && s.assign.(v) >= 0
 
 let reduce_db s =
   let l = s.learnts in
-  let arr = Array.sub l.Cvec.data 0 l.Cvec.sz in
+  let a = s.arena and act = s.act in
+  let arr = Array.sub l.Ivec.data 0 l.Ivec.sz in
   (* Worst first: high LBD, then low activity (glue clauses survive). *)
   Array.sort
-    (fun a b ->
-      let c = Stdlib.compare b.lbd a.lbd in
-      if c <> 0 then c else Stdlib.compare a.act b.act)
+    (fun x y ->
+      let c = Int.compare a.(y + 1) a.(x + 1) in
+      if c <> 0 then c else Float.compare act.(a.(x + 2)) act.(a.(y + 2)))
     arr;
   let half = Array.length arr / 2 in
   Array.iteri
     (fun i c ->
-      if
-        i < half && c.lbd > 3 && Array.length c.lits > 2 && not (locked s c)
-      then c.deleted <- true)
+      if i < half && a.(c + 1) > 3 && hdr_size a.(c) > 2 && not (locked s c)
+      then delete_clause s c)
     arr;
-  Cvec.clear l;
-  Array.iter (fun c -> if not c.deleted then Cvec.push l c) arr
+  Ivec.clear l;
+  Array.iter (fun c -> if a.(c) land deleted_bit = 0 then Ivec.push l c) arr;
+  maybe_compact s
 
 (* -- decision ----------------------------------------------------------- *)
 
@@ -1264,9 +1384,7 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
     (* Assumption variables must survive elimination: restore any that an
        earlier pass removed and pin them against future passes. *)
     Array.iter (fun a -> freeze s (var_of a)) assumptions;
-    (match propagate s with
-    | Some _ -> s.ok <- false
-    | None -> ());
+    if propagate s >= 0 then s.ok <- false;
     maybe_simplify s;
     s.n_solves <- s.n_solves + 1;
     if not s.ok then Unsat
@@ -1275,7 +1393,7 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
       let conflicts_here = ref 0 in
       let start_conflicts = s.n_conflicts in
       if s.max_learnts = 0.0 then
-        s.max_learnts <- max 4000.0 (Float.of_int s.clauses.Cvec.sz /. 3.0);
+        s.max_learnts <- max 4000.0 (Float.of_int s.clauses.Ivec.sz /. 3.0);
       let result =
         try
           s.n_restarts <- s.n_restarts - 1;
@@ -1297,93 +1415,93 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
             (match s.exchange with
             | Some ex ->
                 List.iter (fun (lits, lbd) -> import_learnt s lits lbd) (ex.import ());
-                (match propagate s with
-                | Some _ -> s.ok <- false
-                | None -> ());
+                if propagate s >= 0 then s.ok <- false;
                 if not s.ok then raise (Found Unsat)
             | None -> ());
             (match interrupted () with Some r -> stop r | None -> ());
             (* search *)
             (try
                while true do
-                 match propagate s with
-                 | Some confl ->
-                     s.n_conflicts <- s.n_conflicts + 1;
-                     incr conflicts_here;
-                     (match eff_max_conflicts with
-                     | Some m when s.n_conflicts - start_conflicts >= m ->
-                         stop Budget.Conflicts
-                     | _ -> ());
-                     if s.n_conflicts land 1023 = 0 then begin
-                       (* The sampler reads live totals here because the
-                          registry only sees them as deltas at solve
-                          exit. *)
-                       Sampler.poll_sat ~conflicts:s.n_conflicts
-                         ~propagations:s.n_propagations
-                         ~learnts:s.learnts.Cvec.sz;
-                       match interrupted () with
-                       | Some r -> stop r
-                       | None -> ()
+                 let confl = propagate s in
+                 if confl >= 0 then begin
+                   s.n_conflicts <- s.n_conflicts + 1;
+                   incr conflicts_here;
+                   (match eff_max_conflicts with
+                   | Some m when s.n_conflicts - start_conflicts >= m ->
+                       stop Budget.Conflicts
+                   | _ -> ());
+                   if s.n_conflicts land 1023 = 0 then begin
+                     (* The sampler reads live totals here because the
+                        registry only sees them as deltas at solve
+                        exit. *)
+                     Sampler.poll_sat ~conflicts:s.n_conflicts
+                       ~propagations:s.n_propagations
+                       ~learnts:s.learnts.Ivec.sz;
+                     match interrupted () with
+                     | Some r -> stop r
+                     | None -> ()
+                   end;
+                   if decision_level s = 0 then begin
+                     s.ok <- false;
+                     raise (Found Unsat)
+                   end;
+                   let bt = analyze s confl in
+                   cancel_until s bt;
+                   record_learnt s;
+                   if not s.ok then raise (Found Unsat);
+                   s.var_inc <- s.var_inc *. s.var_inc_scale;
+                   s.cla_inc <- s.cla_inc *. clause_decay;
+                   if Float.of_int !conflicts_here >= !restart_limit then
+                     raise Exit
+                 end
+                 else begin
+                   if Float.of_int s.learnts.Ivec.sz -. Float.of_int s.trail_sz
+                      >= s.max_learnts
+                   then begin
+                     (* Learnt-DB reductions are rare and follow long
+                        propagation-heavy stretches — another natural
+                        deadline boundary. *)
+                     (match interrupted () with
+                     | Some r -> stop r
+                     | None -> ());
+                     reduce_db s;
+                     s.max_learnts <- s.max_learnts *. 1.05
+                   end;
+                   (* Assumption and decision handling. *)
+                   if decision_level s < Array.length assumptions then begin
+                     let a = assumptions.(decision_level s) in
+                     match lit_val s a with
+                     | 1 -> new_decision_level s
+                     | 0 -> raise (Found Unsat)
+                     | _ ->
+                         new_decision_level s;
+                         enqueue s a no_reason
+                   end
+                   else begin
+                     let v = pick_branch_var s in
+                     if v = -1 then begin
+                       (* All variables assigned: model found. *)
+                       s.model <- Array.make s.nvars false;
+                       for i = 0 to s.nvars - 1 do
+                         s.model.(i) <- s.assign.(i) = 1
+                       done;
+                       extend_model s;
+                       s.has_model <- true;
+                       raise (Found Sat)
                      end;
-                     if decision_level s = 0 then begin
-                       s.ok <- false;
-                       raise (Found Unsat)
-                     end;
-                     let learnt, bt, lbd = analyze s confl in
-                     cancel_until s bt;
-                     record_learnt s learnt lbd;
-                     if not s.ok then raise (Found Unsat);
-                     s.var_inc <- s.var_inc *. s.var_inc_scale;
-                     s.cla_inc <- s.cla_inc *. clause_decay;
-                     if Float.of_int !conflicts_here >= !restart_limit then
-                       raise Exit
-                 | None ->
-                     if Float.of_int s.learnts.Cvec.sz -. Float.of_int s.trail_sz
-                        >= s.max_learnts
-                     then begin
-                       (* Learnt-DB reductions are rare and follow long
-                          propagation-heavy stretches — another natural
-                          deadline boundary. *)
-                       (match interrupted () with
-                       | Some r -> stop r
-                       | None -> ());
-                       reduce_db s;
-                       s.max_learnts <- s.max_learnts *. 1.05
-                     end;
-                     (* Assumption and decision handling. *)
-                     if decision_level s < Array.length assumptions then begin
-                       let a = assumptions.(decision_level s) in
-                       match lit_val s a with
-                       | 1 -> new_decision_level s
-                       | 0 -> raise (Found Unsat)
-                       | _ ->
-                           new_decision_level s;
-                           enqueue s a no_reason
-                     end
-                     else begin
-                       let v = pick_branch_var s in
-                       if v = -1 then begin
-                         (* All variables assigned: model found. *)
-                         s.model <- Array.make s.nvars false;
-                         for i = 0 to s.nvars - 1 do
-                           s.model.(i) <- s.assign.(i) = 1
-                         done;
-                         extend_model s;
-                         s.has_model <- true;
-                         raise (Found Sat)
-                       end;
-                       s.n_decisions <- s.n_decisions + 1;
-                       new_decision_level s;
-                       let l =
-                         if
-                           s.strat.random_pol_freq > 0
-                           && next_rand s mod s.strat.random_pol_freq = 0
-                         then if next_rand s land 1 = 0 then pos v else neg_of_var v
-                         else if s.polarity.(v) then pos v
-                         else neg_of_var v
-                       in
-                       enqueue s l no_reason
-                     end
+                     s.n_decisions <- s.n_decisions + 1;
+                     new_decision_level s;
+                     let l =
+                       if
+                         s.strat.random_pol_freq > 0
+                         && next_rand s mod s.strat.random_pol_freq = 0
+                       then if next_rand s land 1 = 0 then pos v else neg_of_var v
+                       else if s.polarity.(v) then pos v
+                       else neg_of_var v
+                     in
+                     enqueue s l no_reason
+                   end
+                 end
                done
              with Exit -> Metrics.observe h_restart_conflicts !conflicts_here)
           done;
@@ -1454,9 +1572,7 @@ let prepare ?(assumptions = []) s =
   if not s.ok then false
   else begin
     List.iter (fun a -> freeze s (var_of a)) assumptions;
-    (match propagate s with
-    | Some _ -> s.ok <- false
-    | None -> ());
+    if propagate s >= 0 then s.ok <- false;
     if s.ok then maybe_simplify s;
     s.n_solves <- s.n_solves + 1;
     s.ok
@@ -1475,6 +1591,7 @@ let clone s =
   c.activity <- Array.copy s.activity;
   c.polarity <- Array.copy s.polarity;
   c.seen <- Array.make (Array.length s.seen) false;
+  c.an_buf <- Array.make (Array.length s.an_buf) 0;
   c.frozen <- Array.copy s.frozen;
   c.elim <- Array.copy s.elim;
   (* Immutable spine and literal arrays that are only ever read (model
@@ -1494,7 +1611,7 @@ let clone s =
   c.clauses_at_simplify <- s.clauses_at_simplify;
   c.n_solves <- s.n_solves;
   let wlen = Array.length s.watches in
-  c.watches <- Array.init wlen (fun _ -> Cvec.create ());
+  c.watches <- Array.init wlen (fun _ -> Ivec.create ());
   c.bin_watches <- Array.init wlen (fun _ -> Ivec.create ());
   c.heap_pos <- Array.make (Array.length s.heap_pos) (-1);
   c.heap <- Array.make (max 16 s.nvars) 0;
@@ -1502,26 +1619,24 @@ let clone s =
   for v = 0 to s.nvars - 1 do
     heap_insert c v
   done;
-  (* Deep-copy both clause databases: [propagate] reorders [lits] in
-     place, so literal arrays must never be shared between domains.
-     Copying preserves literal order, and watching positions 0/1
-     replicates the master's exact (valid) watch state. *)
-  let copy_into dst (src : Cvec.t) =
-    for i = 0 to src.Cvec.sz - 1 do
-      let cl = src.Cvec.data.(i) in
-      if not cl.deleted then begin
-        let cc =
-          {
-            lits = Array.copy cl.lits;
-            act = cl.act;
-            lbd = cl.lbd;
-            learnt = cl.learnt;
-            deleted = false;
-          }
-        in
-        Cvec.push dst cc;
-        watch c cc
-      end
+  (* Copy both clause databases into the clone's own arena (sized to the
+     live clauses): [propagate] reorders literals in place, so clause
+     memory must never be shared between domains.  Copying preserves
+     literal order, and watching positions 0/1 replicates the master's
+     exact (valid) watch state. *)
+  c.arena <- fresh_arena (s.arena_top - s.arena_waste);
+  let copy_into dst (src : Ivec.t) =
+    for i = 0 to src.Ivec.sz - 1 do
+      let cl = src.Ivec.data.(i) in
+      let h = s.arena.(cl) in
+      let learnt = h land learnt_bit <> 0 in
+      let cc =
+        alloc_clause c ~learnt ~lbd:s.arena.(cl + 1)
+          ?act:(if learnt then Some s.act.(s.arena.(cl + 2)) else None)
+          (clause_lits s cl)
+      in
+      Ivec.push dst cc;
+      watch c cc
     done
   in
   copy_into c.clauses s.clauses;
@@ -1560,7 +1675,7 @@ let to_dimacs s =
      equisatisfiable with the solver state. *)
   let root_sz = if s.trail_lim_sz = 0 then s.trail_sz else s.trail_lim.(0) in
   let n_total =
-    s.clauses.Cvec.sz + root_sz + (if s.ok then 0 else 1)
+    s.clauses.Ivec.sz + root_sz + (if s.ok then 0 else 1)
   in
   Buffer.add_string buf (Printf.sprintf "p cnf %d %d\n" s.nvars n_total);
   let emit_lit l =
@@ -1572,9 +1687,11 @@ let to_dimacs s =
     emit_lit s.trail.(i);
     Buffer.add_string buf "0\n"
   done;
-  for i = 0 to s.clauses.Cvec.sz - 1 do
-    let c = s.clauses.Cvec.data.(i) in
-    Array.iter emit_lit c.lits;
+  for i = 0 to s.clauses.Ivec.sz - 1 do
+    let c = s.clauses.Ivec.data.(i) in
+    for k = 0 to hdr_size s.arena.(c) - 1 do
+      emit_lit s.arena.(c + hdr_words + k)
+    done;
     Buffer.add_string buf "0\n"
   done;
   (* A derived empty clause cannot be represented by the stored clauses;

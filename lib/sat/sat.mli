@@ -1,6 +1,7 @@
 (** A CDCL SAT solver.
 
-    Features: two-watched-literal propagation with dedicated binary-clause
+    Features: clauses stored inline in one flat int-array arena,
+    two-watched-literal propagation with dedicated binary-clause
     watch lists (a binary watcher is a single blocker literal, so binary
     propagation never touches clause memory), VSIDS decision heuristic with
     phase saving, first-UIP conflict analysis with iterative clause

@@ -361,6 +361,183 @@ let props =
       (fun cnf -> dimacs_roundtrip ~nvars:12 cnf);
   ]
 
+(* ---------------------------------------------------------------- *)
+(* Pinned search counters                                            *)
+(* ---------------------------------------------------------------- *)
+
+(* Fixed instances whose search counters are pinned exactly.  The clause
+   layout, watch-list order, conflict analysis and learnt-DB reduction
+   all feed the search order, so a storage change that is meant to be
+   layout-only must leave every one of these numbers unchanged; a
+   deliberate change of search behaviour re-pins them. *)
+
+(* A small LCG, so the instances do not depend on [Random]'s algorithm. *)
+let lcg_instance ~seed ~nvars ~nclauses =
+  let st = ref seed in
+  let next () =
+    st := ((!st * 1103515245) + 12345) land 0x3fffffff;
+    !st lsr 8
+  in
+  List.init nclauses (fun _ ->
+      List.init 3 (fun _ ->
+          let v = next () mod nvars in
+          if next () land 1 = 0 then Sat.pos v else Sat.neg_of_var v))
+
+let load_lits nvars cls =
+  let s = Sat.create () in
+  ignore (mk_vars s nvars);
+  List.iter (Sat.add_clause s) cls;
+  s
+
+let pigeonhole n =
+  let holes = n - 1 in
+  let v i j = (i * holes) + j in
+  let rows = List.init n (fun i -> List.init holes (fun j -> Sat.pos (v i j))) in
+  let pairs = ref [] in
+  for j = 0 to holes - 1 do
+    for i = 0 to n - 1 do
+      for k = i + 1 to n - 1 do
+        pairs := [ Sat.neg_of_var (v i j); Sat.neg_of_var (v k j) ] :: !pairs
+      done
+    done
+  done;
+  (n * holes, rows @ List.rev !pairs)
+
+let stats_t =
+  Alcotest.testable
+    (fun ppf (st : Sat.stats) ->
+      Fmt.pf ppf "{dec=%d; props=%d; confl=%d; restarts=%d; learnt_lits=%d}"
+        st.Sat.decisions st.Sat.propagations st.Sat.conflicts st.Sat.restarts
+        st.Sat.learnt_literals)
+    ( = )
+
+let pinned name ~verdicts ~stats:(d, p, c, r, l) run =
+  let s, got = run () in
+  Alcotest.(check (list result_t)) (name ^ " verdicts") verdicts got;
+  Alcotest.check stats_t (name ^ " counters")
+    {
+      Sat.decisions = d;
+      propagations = p;
+      conflicts = c;
+      restarts = r;
+      learnt_literals = l;
+    }
+    (Sat.stats s)
+
+(* An incremental run: assumption sets that change every round, with
+   new clauses arriving between solves. *)
+let incremental_run () =
+  let nv = 150 in
+  let s = load_lits nv (lcg_instance ~seed:7 ~nvars:nv ~nclauses:(nv * 4)) in
+  let extra = lcg_instance ~seed:8 ~nvars:nv ~nclauses:60 in
+  let got = ref [] in
+  for round = 0 to 5 do
+    let assumptions =
+      List.init 6 (fun i ->
+          let v = ((round * 13) + (i * 7)) mod nv in
+          if (round + i) land 1 = 0 then Sat.pos v else Sat.neg_of_var v)
+    in
+    got := Sat.solve ~assumptions s :: !got;
+    List.iteri (fun i c -> if i mod 6 = round then Sat.add_clause s c) extra
+  done;
+  got := Sat.solve s :: !got;
+  (s, List.rev !got)
+
+(* Learnt clauses survive a [simplify_now] rebuild: level-0 units added
+   after the first search shrink or drop some of them. *)
+let simplify_run () =
+  let nv = 150 in
+  let s = load_lits nv (lcg_instance ~seed:7 ~nvars:nv ~nclauses:(nv * 4)) in
+  let r1 = Sat.solve ~assumptions:[ Sat.pos 3; Sat.neg_of_var 11 ] s in
+  Sat.add_clause s [ Sat.neg_of_var 5 ];
+  Sat.add_clause s [ Sat.pos 17 ];
+  Sat.simplify_now s;
+  let r2 = Sat.solve s in
+  (s, [ r1; r2 ])
+
+let test_pinned_counters () =
+  pinned "3-SAT n=200 seed 3" ~verdicts:[ Sat.Unsat ]
+    ~stats:(12971, 409566, 10777, 45, 107093)
+    (fun () ->
+      let s = load_lits 200 (lcg_instance ~seed:3 ~nvars:200 ~nclauses:852) in
+      (s, [ Sat.solve s ]));
+  pinned "3-SAT n=150 seed 2" ~verdicts:[ Sat.Sat ]
+    ~stats:(2054, 52777, 1667, 10, 14219)
+    (fun () ->
+      let s = load_lits 150 (lcg_instance ~seed:2 ~nvars:150 ~nclauses:639) in
+      (s, [ Sat.solve s ]));
+  pinned "pigeonhole 7/6" ~verdicts:[ Sat.Unsat ]
+    ~stats:(922, 10313, 778, 5, 8453)
+    (fun () ->
+      let nv, cls = pigeonhole 7 in
+      let s = load_lits nv cls in
+      (s, [ Sat.solve s ]));
+  pinned "incremental under assumptions"
+    ~verdicts:[ Sat.Sat; Sat.Unsat; Sat.Unsat; Sat.Unsat; Sat.Unsat; Sat.Unsat; Sat.Sat ]
+    ~stats:(1282, 33264, 1046, 6, 8610)
+    incremental_run;
+  pinned "simplify_now between solves" ~verdicts:[ Sat.Sat; Sat.Sat ]
+    ~stats:(304, 7017, 207, 1, 1938)
+    simplify_run
+
+
+let satisfies s cls =
+  List.for_all (List.exists (fun l -> Sat.lit_value s l)) cls
+
+(* Learnt-DB reduction and the clause-store compaction behind it run in
+   the middle of a search, with the assumption at level 1 and everything
+   else assigned above it, so reason references on the trail move.  The
+   relocated database must then survive new clauses, a simplification
+   rebuild (which compacts again), a second search and a clone. *)
+let test_compaction () =
+  let module Metrics = Sqed_obs.Metrics in
+  let was = !Metrics.enabled in
+  Metrics.enabled := true;
+  Fun.protect ~finally:(fun () -> Metrics.enabled := was) @@ fun () ->
+  let compactions () = Metrics.find_counter "sat.arena.compactions" in
+  let c0 = compactions () in
+  let nv = 200 in
+  let s = Sat.create () in
+  ignore (mk_vars s nv);
+  let sel = Sat.new_var s in
+  (* Under [~sel] this is the UNSAT 3-SAT instance pinned above; with
+     [sel] free every clause is satisfied by it. *)
+  let guarded =
+    List.map
+      (fun c -> Sat.pos sel :: c)
+      (lcg_instance ~seed:3 ~nvars:nv ~nclauses:852)
+  in
+  List.iter (Sat.add_clause s) guarded;
+  Alcotest.check result_t "unsat under ~sel" Sat.Unsat
+    (Sat.solve ~assumptions:[ Sat.neg_of_var sel ] s);
+  Alcotest.(check bool) "reduce_db compacted the store" true (compactions () > c0);
+  let extra = lcg_instance ~seed:11 ~nvars:nv ~nclauses:40 in
+  List.iter (Sat.add_clause s) extra;
+  let c1 = compactions () in
+  Sat.simplify_now s;
+  Alcotest.(check bool) "simplify rebuild compacted" true (compactions () > c1);
+  let original = guarded @ extra in
+  Alcotest.check result_t "sat after rebuild" Sat.Sat (Sat.solve s);
+  Alcotest.(check bool) "model satisfies the original clauses" true
+    (satisfies s original);
+  let c = Sat.clone s in
+  Alcotest.check result_t "clone sat" Sat.Sat (Sat.solve c);
+  Alcotest.(check bool) "clone model satisfies the original clauses" true
+    (satisfies c original);
+  Alcotest.check result_t "clone unsat under ~sel" Sat.Unsat
+    (Sat.solve ~assumptions:[ Sat.neg_of_var sel ] c);
+  Alcotest.check result_t "master unsat under ~sel" Sat.Unsat
+    (Sat.solve ~assumptions:[ Sat.neg_of_var sel ] s);
+  Alcotest.check stats_t "master counters"
+    {
+      Sat.decisions = 12979;
+      propagations = 402331;
+      conflicts = 10597;
+      restarts = 45;
+      learnt_literals = 118490;
+    }
+    (Sat.stats s)
+
 let suite =
   [
     Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
@@ -382,3 +559,7 @@ let suite =
       test_dimacs_units_pin_model;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) props
+  @ [
+      Alcotest.test_case "pinned search counters" `Quick test_pinned_counters;
+      Alcotest.test_case "clause-store compaction" `Quick test_compaction;
+    ]
