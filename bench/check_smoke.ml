@@ -210,7 +210,7 @@ let check_ledger path min_entries =
                  Option.bind prov (fun p ->
                      Option.bind (Json.member "config" p) (Json.member f))
                  <> None)
-               [ "jobs"; "fast"; "simplify"; "aig"; "portfolio" ]);
+               [ "jobs"; "fast"; "simplify"; "portfolio" ]);
           tag "embeds a run payload"
             (match Json.member "run" j with
             | Some (Json.Obj _) -> true
@@ -263,8 +263,6 @@ let () =
   | Ok j ->
       check "summary records simplify=true"
         (Json.member "simplify" j = Some (Json.Bool true));
-      check "summary records aig=true"
-        (Json.member "aig" j = Some (Json.Bool true));
       let counter name =
         Option.bind (Json.member "metrics" j) (fun m ->
             Option.bind (Json.member "counters" m) (fun c ->

@@ -35,6 +35,7 @@ module Obs_log = Sqed_obs.Log
 module Sampler = Sqed_obs.Sampler
 module Progress = Sqed_obs.Progress
 module Report = Sqed_obs.Report
+module Solver = Sqed_smt.Solver
 
 let fast = ref false
 let jobs = ref 0 (* 0 = Pool.default_jobs () *)
@@ -55,6 +56,11 @@ let baseline_k = ref 4.0 (* --baseline-k K: MAD multiplier of the band *)
    demonstrate the regression sentinel trips: a handicapped run against
    an honest baseline must exit with the regression code. *)
 let handicap = ref 0.0
+
+(* --no-simplify, --portfolio K, --portfolio-deterministic: collected
+   while parsing, then installed once as the run-wide solver config. *)
+let solver_config = ref Solver.default_config
+
 let line = String.make 72 '-'
 
 (* Aggregated campaign verdicts across every experiment run this
@@ -89,15 +95,7 @@ module Diff = Sqed_obs.Diff
    these knobs match, so the ledger carries them in provenance and the
    sentinel filters its baseline through them. *)
 let config_json () =
-  [
-    ("jobs", Json.Int (jobs_used ()));
-    ("fast", Json.Bool !fast);
-    ("simplify", Json.Bool !Sqed_smt.Solver.simplify_default);
-    ("aig", Json.Bool !Sqed_smt.Solver.aig_default);
-    ("portfolio", Json.Int !Sqed_smt.Solver.portfolio_default);
-    ( "portfolio_deterministic",
-      Json.Bool !Sqed_smt.Solver.portfolio_deterministic_default );
-  ]
+  Sqed_exp.Provenance.config ~jobs:(jobs_used ()) ~fast:!fast
 
 let bench_payload () =
   let experiments =
@@ -561,9 +559,10 @@ let scaling () =
    then width K — and land in BENCH_sepe.json as portfolio/k1 and
    portfolio/kK next to the sat.portfolio.* counters. *)
 let portfolio () =
+  let run_config = Solver.config () in
   let k =
-    let d = !Sqed_smt.Solver.portfolio_default in
-    if d > 1 then d else 4
+    if run_config.Solver.portfolio > 1 then run_config.Solver.portfolio
+    else 4
   in
   section
     (Printf.sprintf
@@ -579,10 +578,9 @@ let portfolio () =
   Printf.printf "core: %s; witness query at depth %d; budget %.0fs/arm\n\n"
     (Config.to_string cfg) min_depth budget;
   let arm label width =
-    let saved = !Sqed_smt.Solver.portfolio_default in
-    Sqed_smt.Solver.portfolio_default := width;
+    Solver.set_config { run_config with Solver.portfolio = width };
     Fun.protect
-      ~finally:(fun () -> Sqed_smt.Solver.portfolio_default := saved)
+      ~finally:(fun () -> Solver.set_config run_config)
       (fun () ->
         timed label (fun () ->
             let r =
@@ -623,7 +621,6 @@ let micro () =
   in
   let smt_adder () =
     let module Term = Sqed_smt.Term in
-    let module Solver = Sqed_smt.Solver in
     let s = Solver.create () in
     let x = Term.var "mb_x" 16 and y = Term.var "mb_y" 16 in
     Solver.assert_ s (Term.distinct (Term.add x y) (Term.add y x));
@@ -694,7 +691,7 @@ let micro () =
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   (* Flags: --fast, --jobs N, --json PATH, --no-metrics, --no-simplify,
-     --no-aig, --portfolio K, --portfolio-deterministic, --trace PATH,
+     --portfolio K, --portfolio-deterministic, --trace PATH,
      --metrics-json PATH, --log PATH|-, --progress, --report PATH,
      --checkpoint FILE, --fault-inject SPEC, --ledger FILE,
      --baseline FILE, --baseline-window N, --baseline-k K,
@@ -708,12 +705,7 @@ let () =
     | "--no-simplify" :: rest ->
         (* A/B switch for the SAT core's CNF preprocessor; the
            sat.simplify.* counters in the JSON record the on-side. *)
-        Sqed_smt.Solver.simplify_default := false;
-        parse acc rest
-    | "--no-aig" :: rest ->
-        (* A/B switch for the bit-blaster's AIG gate layer; the smt.aig.*
-           counters in the JSON record the on-side. *)
-        Sqed_smt.Solver.aig_default := false;
+        solver_config := { !solver_config with Solver.simplify = false };
         parse acc rest
     | "--portfolio" :: n :: rest -> (
         match int_of_string_opt n with
@@ -721,13 +713,14 @@ let () =
             (* Portfolio width for every solver the run creates; only
                deep BMC bounds actually engage it (the sat.portfolio.*
                counters in the JSON record how often). *)
-            Sqed_smt.Solver.portfolio_default := k;
+            solver_config := { !solver_config with Solver.portfolio = k };
             parse acc rest
         | _ ->
             Printf.eprintf "--portfolio expects a positive integer, got %S\n" n;
             exit 1)
     | "--portfolio-deterministic" :: rest ->
-        Sqed_smt.Solver.portfolio_deterministic_default := true;
+        solver_config :=
+          { !solver_config with Solver.portfolio_deterministic = true };
         parse acc rest
     | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
@@ -804,6 +797,7 @@ let () =
     | a :: rest -> parse (a :: acc) rest
   in
   let args = parse [] args in
+  Solver.set_config !solver_config;
   Metrics.enabled := !metrics_on;
   (* The sampler rides along whenever metrics are on: a bench summary
      whose obs.sampler.samples is 0 was the blind spot that hid empty
@@ -904,7 +898,7 @@ let () =
         if incompatible > 0 then
           Printf.printf
             "note: ignoring %d entr%s with a different {jobs,fast,simplify,\
-             aig,portfolio} config\n"
+             portfolio} config\n"
             incompatible
             (if incompatible = 1 then "y" else "ies");
         let history = List.filter_map History.run_of compatible in

@@ -70,10 +70,7 @@ type obs_opts = {
   obs_progress : bool;
   obs_report : string option;
   obs_ledger : string option;
-  obs_no_simplify : bool;
-  obs_no_aig : bool;
-  obs_portfolio : int;
-  obs_portfolio_det : bool;
+  obs_solver : Sqed_smt.Solver.config;
   obs_fault : string option;
 }
 
@@ -113,17 +110,6 @@ let obs_t =
              solver this command creates.  Mostly for A/B measurements; \
              the sat.simplify.* counters record what the preprocessor \
              did when it is on.")
-  in
-  let no_aig =
-    Arg.(
-      value & flag
-      & info [ "no-aig" ]
-          ~doc:
-            "Bypass the AIG gate layer (structural hashing, rewriting, \
-             polarity-aware CNF conversion) and bit-blast with direct \
-             Tseitin emission, for every solver this command creates.  \
-             For A/B measurements; the smt.aig.* counters record what \
-             the layer did when it is on.")
   in
   let portfolio =
     Arg.(
@@ -223,8 +209,8 @@ let obs_t =
   Term.(
     const
       (fun obs_metrics obs_metrics_json obs_trace obs_log obs_log_level
-           obs_progress obs_report obs_ledger obs_no_simplify obs_no_aig
-           obs_portfolio obs_portfolio_det obs_fault ->
+           obs_progress obs_report obs_ledger no_simplify portfolio
+           portfolio_deterministic obs_fault ->
         {
           obs_metrics;
           obs_metrics_json;
@@ -234,22 +220,19 @@ let obs_t =
           obs_progress;
           obs_report;
           obs_ledger;
-          obs_no_simplify;
-          obs_no_aig;
-          obs_portfolio;
-          obs_portfolio_det;
+          obs_solver =
+            {
+              Sqed_smt.Solver.simplify = not no_simplify;
+              portfolio;
+              portfolio_deterministic;
+            };
           obs_fault;
         })
     $ metrics $ metrics_json $ trace $ log $ log_level $ progress $ report
-    $ ledger $ no_simplify $ no_aig $ portfolio $ portfolio_det $ fault)
+    $ ledger $ no_simplify $ portfolio $ portfolio_det $ fault)
 
 let with_obs obs f =
-  if obs.obs_no_simplify then Sqed_smt.Solver.simplify_default := false;
-  if obs.obs_no_aig then Sqed_smt.Solver.aig_default := false;
-  if obs.obs_portfolio > 1 then
-    Sqed_smt.Solver.portfolio_default := obs.obs_portfolio;
-  if obs.obs_portfolio_det then
-    Sqed_smt.Solver.portfolio_deterministic_default := true;
+  Sqed_smt.Solver.set_config obs.obs_solver;
   Option.iter Sqed_resil.Fault.configure obs.obs_fault;
   if obs.obs_metrics || obs.obs_metrics_json <> None then
     Metrics.enabled := true;
@@ -316,18 +299,11 @@ let with_obs obs f =
       | Some path ->
           let cmdline = String.concat " " (Array.to_list Sys.argv) in
           let config =
-            [
-              ( "jobs",
-                Json.Int
-                  (match !ledger_jobs with
-                  | Some j -> j
-                  | None -> Pool.default_jobs ()) );
-              ("fast", Json.Bool !ledger_fast);
-              ("simplify", Json.Bool (not obs.obs_no_simplify));
-              ("aig", Json.Bool (not obs.obs_no_aig));
-              ("portfolio", Json.Int (max 1 obs.obs_portfolio));
-              ("portfolio_deterministic", Json.Bool obs.obs_portfolio_det);
-            ]
+            Sqed_exp.Provenance.config ~fast:!ledger_fast
+              ~jobs:
+                (match !ledger_jobs with
+                | Some j -> j
+                | None -> Pool.default_jobs ())
           in
           let label =
             if Array.length Sys.argv > 1 then Sys.argv.(1) else "sepe"
@@ -978,9 +954,10 @@ let solve_cmd =
           Printf.eprintf "parse error: %s\n" e;
           exit 1
       | Ok cnf -> (
+          let c = Sqed_smt.Solver.config () in
           match
-            Sqed_sat.Dimacs.solve ~portfolio:obs.obs_portfolio
-              ~deterministic:obs.obs_portfolio_det cnf
+            Sqed_sat.Dimacs.solve ~portfolio:c.Sqed_smt.Solver.portfolio
+              ~deterministic:c.Sqed_smt.Solver.portfolio_deterministic cnf
           with
           | Sqed_sat.Sat.Sat, Some model ->
               print_endline "sat";

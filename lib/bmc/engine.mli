@@ -47,7 +47,7 @@ val check :
     {!default_portfolio_from}) gates portfolio solving on for depths at
     or past it — shallow queries are cheap enough that clone/spawn
     overhead would dominate — and has no effect unless the run sets a
-    portfolio width above 1 ({!Sqed_smt.Solver.portfolio_default}). *)
+    portfolio width above 1 ({!Sqed_smt.Solver.config}). *)
 
 val replay : Sqed_qed.Qed_top.t -> Trace.t -> bool
 (** Witness validation: re-run the counterexample's exact inputs and

@@ -57,13 +57,32 @@ let entry ~kind ~label ~provenance ~run =
 
 (* -- file ---------------------------------------------------------------- *)
 
+(* A crash can leave the file without a trailing newline (a torn last
+   line); appending straight after it would fuse the next record onto
+   the torn bytes and corrupt it too. *)
+let ends_with_newline path =
+  if not (Sys.file_exists path) then true
+  else begin
+    let ic = open_in_bin path in
+    Fun.protect
+      ~finally:(fun () -> close_in_noerr ic)
+      (fun () ->
+        let len = in_channel_length ic in
+        len = 0
+        ||
+        (seek_in ic (len - 1);
+         input_char ic = '\n'))
+  end
+
 let append path e =
+  let fresh_line = ends_with_newline path in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
   in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
+      if not fresh_line then output_char oc '\n';
       output_string oc (Json.to_string e);
       output_char oc '\n';
       flush oc)
@@ -103,9 +122,17 @@ let run_of e = Json.member "run" e
 let config_of e =
   Option.bind (Json.member "provenance" e) (Json.member "config")
 
+(* Entries written while the bit-blaster still had a direct-Tseitin
+   alternative carry ["aig": true]; every such run used the AIG path
+   that is now the only one, so the key is dropped before comparing. *)
+let without_legacy_aig = function
+  | Json.Obj fields ->
+      Json.Obj (List.filter (fun f -> f <> ("aig", Json.Bool true)) fields)
+  | j -> j
+
 let compatible a b =
   match (config_of a, config_of b) with
-  | Some ca, Some cb -> ca = cb
+  | Some ca, Some cb -> without_legacy_aig ca = without_legacy_aig cb
   | _ -> false
 
 let summary_line idx e =

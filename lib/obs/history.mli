@@ -28,8 +28,8 @@ val provenance : config:(string * Json.t) list -> unit -> Json.t
     ["unknown"] outside a work tree), [git_dirty], [hostname], [cores]
     (recommended domain count), [ocaml] (compiler version) and the
     caller-supplied [config] object — by convention the
-    [{jobs, fast, simplify, aig, portfolio}] knobs that make two runs
-    comparable. *)
+    [{jobs, fast, simplify, portfolio, portfolio_deterministic}] knobs
+    that make two runs comparable ([Sqed_exp.Provenance.config]). *)
 
 val entry :
   kind:string -> label:string -> provenance:Json.t -> run:Json.t -> Json.t
@@ -40,9 +40,17 @@ val entry :
 
 (** {1 The file} *)
 
+val ends_with_newline : string -> bool
+(** Whether the file at the path is missing, empty or ends in a newline.
+    A [false] answer means a torn last line: an appender must start a
+    fresh line first, or its record would fuse onto the torn bytes.
+    Shared with the checkpoint journal ([Sqed_resil.Journal]). *)
+
 val append : string -> Json.t -> unit
 (** [append path e] appends [e] as one line to [path] (creating it if
-    needed) and flushes.  Raises [Sys_error] when the file cannot be
+    needed) and flushes.  After a torn last line it first terminates
+    that line, so the torn fragment stays one droppable line and [e]
+    survives {!load}.  Raises [Sys_error] when the file cannot be
     opened or written. *)
 
 type loaded = {
@@ -66,8 +74,11 @@ val config_of : Json.t -> Json.t option
 val compatible : Json.t -> Json.t -> bool
 (** [compatible a b] is true when both entries carry a provenance
     config and the configs are structurally equal — the gate that keeps
-    the sentinel from comparing, say, a [--no-aig] run against an AIG
-    baseline.  Entries without a config are never compatible. *)
+    the sentinel from comparing, say, a [--no-simplify] run against a
+    preprocessed baseline.  A legacy ["aig": true] field (written while
+    a direct-Tseitin bit-blaster still existed) is ignored, so older
+    AIG-path entries stay usable baselines.  Entries without a config
+    are never compatible. *)
 
 val summary_line : int -> Json.t -> string
 (** One human-readable line for [sepe runs list]: index, UTC

@@ -49,23 +49,6 @@ let load_existing table path =
   end;
   (!resumed, !torn)
 
-(* A crash can leave the file without a trailing newline (a torn last
-   line); appending straight after it would fuse the next record onto
-   the torn bytes and corrupt it too. *)
-let ends_with_newline path =
-  if not (Sys.file_exists path) then true
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        len = 0
-        ||
-        (seek_in ic (len - 1);
-         input_char ic = '\n'))
-  end
-
 let open_ path =
   let table = Hashtbl.create 64 in
   let resumed, torn = load_existing table path in
@@ -75,7 +58,9 @@ let open_ path =
   if resumed > 0 then
     Log.info "resil.checkpoint.resumed"
       [ ("path", Log.Str path); ("entries", Log.I resumed) ];
-  let fresh_line = ends_with_newline path in
+  (* After a torn last line, start a fresh one so the next record does
+     not fuse onto the torn bytes. *)
+  let fresh_line = Sqed_obs.History.ends_with_newline path in
   let oc =
     open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
   in

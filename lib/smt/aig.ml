@@ -6,8 +6,7 @@ module Metrics = Sqed_obs.Metrics
    one-level rule applications that avoided a node; [pg_skipped_clauses]
    tracks the clauses currently avoided by polarity-aware conversion (it
    decreases when a missing polarity half is emitted later).  [smt.gates]
-   is shared with the direct Tseitin path: one tick per AND node, the AIG
-   analogue of one emitted gate.
+   ticks once per AND node, the AIG analogue of one emitted gate.
 
    Construction is the blaster's hottest loop (tens of millions of [and_]
    calls in a fig3 run), so the graph buffers the counts in plain fields
@@ -105,8 +104,6 @@ let flush_metrics t =
     Metrics.add m_pg_skipped t.c_pg;
     t.c_pg <- 0
   end
-
-let true_lit t = t.lit.(0)
 
 let num_nodes t =
   (* inputs + ANDs + the constant node *)

@@ -36,8 +36,8 @@ type edge = int
     callers can store them in arrays and compare them directly. *)
 
 val create : Sat.t -> t
-(** Allocates the constant-true SAT variable (unit-asserted and frozen),
-    exactly as the direct Tseitin path does. *)
+(** Allocates the constant-true SAT variable (unit-asserted and
+    frozen). *)
 
 val etrue : edge
 val efalse : edge
@@ -108,5 +108,3 @@ val assert_edge : t -> edge -> unit
 val assume_lit : t -> edge -> Sat.lit
 (** Encode the positive-polarity cone and return the literal for use in
     [Sat.solve ~assumptions] (which freezes it for the call). *)
-
-val true_lit : t -> Sat.lit

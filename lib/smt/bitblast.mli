@@ -1,38 +1,30 @@
 (** Bit-blasting of QF_BV terms onto the CDCL solver.
 
-    Each term is lowered to a vector of wires (LSB first); the translation
-    is memoized per term id, so shared sub-DAGs are encoded once.
-    Word-level operators use standard circuits: ripple-carry adders,
-    shift-and-add multipliers, barrel shifters, long-division restoring
-    dividers and borrow-chain comparators.
-
-    Two backends share those circuits.  With [~aig:true] (the default)
-    circuits are built into an {!Aig} — hash-consed, rewritten, and only
-    converted to CNF (polarity-aware, incrementally) when a root is
-    asserted or assumed.  With [~aig:false] the historical direct path
-    emits Tseitin clauses immediately as each gate is built. *)
+    Each term is lowered to a vector of {!Aig} edges (LSB first); the
+    translation is memoized per term id, so shared sub-DAGs are encoded
+    once.  Word-level operators use standard circuits: ripple-carry
+    adders, shift-and-add multipliers, barrel shifters, long-division
+    restoring dividers and borrow-chain comparators.  The graph hash-conses
+    and rewrites the circuits as they are built, and converts them to CNF
+    (polarity-aware, incrementally) only when a root is asserted or
+    assumed. *)
 
 type t
 
-val create : ?aig:bool -> Sqed_sat.Sat.t -> t
-val uses_aig : t -> bool
-
-val true_lit : t -> Sqed_sat.Sat.lit
-val false_lit : t -> Sqed_sat.Sat.lit
+val create : Sqed_sat.Sat.t -> t
 
 val blast : t -> Term.t -> Sqed_sat.Sat.lit array
-(** Literals of the term, least-significant bit first.  On the AIG backend
-    this forces both polarity halves of each bit's cone into the CNF and
-    freezes the literals, since they escape to the caller; prefer
-    {!assert_bool} / {!assume_bool}, which encode only the needed
-    polarity. *)
+(** Literals of the term, least-significant bit first.  This forces both
+    polarity halves of each bit's cone into the CNF and freezes the
+    literals, since they escape to the caller; prefer {!assert_bool} /
+    {!assume_bool}, which encode only the needed polarity. *)
 
 val blast_bool : t -> Term.t -> Sqed_sat.Sat.lit
 (** The single literal of a width-1 term (both polarities, as {!blast}). *)
 
 val assert_bool : t -> Term.t -> unit
-(** Assert a width-1 term as a unit clause (positive-polarity cone only on
-    the AIG backend).
+(** Assert a width-1 term as a unit clause (positive-polarity cone
+    only).
 
     Blasting honors the solver's budget ({!Sqed_sat.Sat.check_budget}):
     on {!Sqed_resil.Budget.Exhausted} the partially-encoded assert is
@@ -47,8 +39,8 @@ val complete : t -> unit
 
 val assume_bool : t -> Term.t -> Sqed_sat.Sat.lit
 (** Literal for a width-1 term to be passed to [Sat.solve ~assumptions]
-    (positive-polarity cone only on the AIG backend; [solve] freezes
-    assumption variables for the call). *)
+    (positive-polarity cone only; [solve] freezes assumption variables
+    for the call). *)
 
 val var_lits : t -> string -> width:int -> Sqed_sat.Sat.lit array option
 (** Literals allocated for a variable, if it was blasted. *)

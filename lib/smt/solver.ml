@@ -13,12 +13,17 @@ let h_check_us = Metrics.histogram "smt.check_latency_us"
 
 type result = Sat | Unsat | Unknown
 
+type config = {
+  simplify : bool;
+  portfolio : int;
+  portfolio_deterministic : bool;
+}
+
 type t = {
   sat : Sat.t;
   blaster : Bitblast.t;
   mutable has_model : bool;
-  portfolio : int;
-  portfolio_det : bool;
+  config : config; (* portfolio width clamped to at least 1 *)
   (* The per-query gate: the BMC engine flips this on only for deep
      bounds, so cheap shallow queries (and every CEGIS candidate) never
      pay clone/spawn overhead even when `--portfolio K` is global. *)
@@ -26,53 +31,32 @@ type t = {
   mutable last_unknown : Budget.reason option;
 }
 
-(* CNF preprocessing is on for every solver unless the caller opts out —
-   [~simplify:false] per instance, or the [simplify_default] switch for a
-   whole run (the `--no-simplify` CLI/bench flag flips it). *)
-let simplify_default = ref true
+let default_config =
+  { simplify = true; portfolio = 1; portfolio_deterministic = false }
 
-(* Likewise the AIG gate layer: [~aig:false] per instance, or the
-   [aig_default] switch (the `--no-aig` CLI/bench flag) to fall back to
-   direct Tseitin emission for a whole run. *)
-let aig_default = ref true
+(* The run-wide configuration: a front-end sets it once from its flags
+   before any solver exists, and every [create] without [?config] reads
+   it.  The ledger's provenance stamp reads the same value back. *)
+let run_config = ref default_config
 
-(* Portfolio width for every new solver: 1 (single engine) unless the
-   `--portfolio K` CLI/bench flag raises it for the run.  Width alone
-   does not engage the portfolio — a query also needs the
-   [set_portfolio_active] gate, which only deep BMC bounds (and the
-   DIMACS front-end) turn on. *)
-let portfolio_default = ref 1
+let set_config c = run_config := { c with portfolio = max 1 c.portfolio }
+let config () = !run_config
 
-(* Reproducible-CI mode for the portfolio (`--portfolio-deterministic`):
-   fixed round-robin scheduling on one domain instead of a parallel
-   race. *)
-let portfolio_deterministic_default = ref false
-
-let create ?simplify ?aig ?portfolio ?portfolio_deterministic () =
+let create ?config () =
+  let c = match config with Some c -> c | None -> !run_config in
   let sat = Sat.create () in
-  let on = match simplify with Some b -> b | None -> !simplify_default in
-  Sat.set_simplify sat on;
-  let aig_on = match aig with Some b -> b | None -> !aig_default in
-  let k =
-    match portfolio with Some k -> max 1 k | None -> max 1 !portfolio_default
-  in
-  let det =
-    match portfolio_deterministic with
-    | Some b -> b
-    | None -> !portfolio_deterministic_default
-  in
+  Sat.set_simplify sat c.simplify;
   {
     sat;
-    blaster = Bitblast.create ~aig:aig_on sat;
+    blaster = Bitblast.create sat;
     has_model = false;
-    portfolio = k;
-    portfolio_det = det;
+    config = { c with portfolio = max 1 c.portfolio };
     portfolio_active = false;
     last_unknown = None;
   }
 
 let set_portfolio_active s b = s.portfolio_active <- b
-let portfolio_width s = s.portfolio
+let portfolio_width s = s.config.portfolio
 let last_unknown s = s.last_unknown
 
 let set_budget s b = Sat.set_budget s.sat b
@@ -125,9 +109,9 @@ let check ?(assumptions = []) ?max_conflicts ?deadline s =
                       assumptions)
               in
               let verdict =
-                if s.portfolio > 1 && s.portfolio_active then
-                  Portfolio.solve ~k:s.portfolio
-                    ~deterministic:s.portfolio_det
+                if s.config.portfolio > 1 && s.portfolio_active then
+                  Portfolio.solve ~k:s.config.portfolio
+                    ~deterministic:s.config.portfolio_deterministic
                     ~assumptions:assumption_lits ?max_conflicts ?deadline
                     s.sat
                 else

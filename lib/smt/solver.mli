@@ -5,15 +5,13 @@
     retract anything.
 
     Every instance runs the SAT core's CNF preprocessor ({!Sqed_sat.Simplify})
-    by default: the bit-blaster freezes each literal it hands out, so the
-    simplifier only ever eliminates gate-internal variables and
-    incremental use (more assertions, assumptions, further [check]s) stays
-    sound.  Opt out per instance with [~simplify:false] or globally with
-    {!simplify_default}.
+    unless its {!config} turns it off: the bit-blaster freezes each
+    literal it hands out, so the simplifier only ever eliminates
+    gate-internal variables and incremental use (more assertions,
+    assumptions, further [check]s) stays sound.
 
-    Bit-blasting goes through the {!Aig} gate layer by default (structural
-    hashing, rewriting, polarity-aware CNF conversion); [~aig:false] or
-    {!aig_default} falls back to direct Tseitin emission. *)
+    Bit-blasting goes through the {!Aig} gate layer (structural hashing,
+    rewriting, polarity-aware CNF conversion). *)
 
 module Bv = Sqed_bv.Bv
 
@@ -21,33 +19,40 @@ type t
 
 type result = Sat | Unsat | Unknown
 
-val simplify_default : bool ref
-(** Default for [create]'s [?simplify] (initially [true]); the CLI and
-    bench `--no-simplify` flag sets it to [false] for the whole run. *)
+(** {1 Configuration} *)
 
-val aig_default : bool ref
-(** Default for [create]'s [?aig] (initially [true]); the CLI and bench
-    `--no-aig` flag sets it to [false] for the whole run. *)
+type config = {
+  simplify : bool;
+      (** Run the SAT core's CNF preprocessor (the `--no-simplify` flag
+          turns it off). *)
+  portfolio : int;
+      (** Portfolio width, 1 = single engine (the `--portfolio K` flag).
+          Width alone does not engage the portfolio; see
+          {!set_portfolio_active}. *)
+  portfolio_deterministic : bool;
+      (** Run the portfolio as a reproducible single-domain round-robin
+          instead of a parallel race (the `--portfolio-deterministic`
+          flag). *)
+}
+(** The knobs that shape every solver of a run.  Two runs are only
+    comparable when their configs match, so the run ledger stamps this
+    record into each entry's provenance. *)
 
-val portfolio_default : int ref
-(** Default for [create]'s [?portfolio] (initially [1], i.e. single
-    engine); the CLI and bench `--portfolio K` flag raises it for the
-    whole run. *)
+val default_config : config
+(** [{ simplify = true; portfolio = 1; portfolio_deterministic = false }]. *)
 
-val portfolio_deterministic_default : bool ref
-(** Default for [create]'s [?portfolio_deterministic] (initially
-    [false]); the `--portfolio-deterministic` flag turns the portfolio's
-    reproducible single-domain round-robin mode on for the whole run. *)
+val set_config : config -> unit
+(** Set the run-wide config that {!create} uses when given no
+    [?config].  Front-ends call this once, from their flags, before any
+    solver exists.  The portfolio width is clamped to at least 1. *)
 
-val create :
-  ?simplify:bool ->
-  ?aig:bool ->
-  ?portfolio:int ->
-  ?portfolio_deterministic:bool ->
-  unit ->
-  t
-(** [portfolio] is the portfolio width this solver may use (clamped to
-    at least 1).  Width alone changes nothing: a [check] dispatches to
+val config : unit -> config
+(** The run-wide config ({!default_config} until {!set_config}). *)
+
+val create : ?config:config -> unit -> t
+(** A fresh solver configured by [config] (default: the run-wide
+    {!config}[ ()]).  The portfolio width is clamped to at least 1.  A
+    width above 1 changes nothing by itself: a [check] dispatches to
     {!Sqed_sat.Portfolio.solve} only while {!set_portfolio_active} has
     gated the portfolio on, so callers decide per query whether the
     clone/spawn overhead is worth it (the BMC engine enables it past a

@@ -1,11 +1,11 @@
-(* Differential fuzz for the AIG gate layer (Sqed_smt.Aig and its
-   integration into the bit-blaster): the AIG-backed solver must return
-   the same SAT/UNSAT verdict as the direct-Tseitin one on random QF_BV
-   problems, SAT models must satisfy the asserted terms, assumptions and
-   incremental assertion must keep their meaning (exercising the
-   Plaisted–Greenbaum polarity halves emitted across [check] calls), and
-   the DIMACS export of an AIG-encoded instance must round-trip to the
-   same verdict. *)
+(* Fuzz for the AIG gate layer (Sqed_smt.Aig and its integration into
+   the bit-blaster) against an independent oracle: on random QF_BV
+   problems every SAT model must satisfy the asserted terms, and every
+   UNSAT verdict is confirmed by enumerating all assignments.  Assumptions
+   and incremental assertion must keep their meaning (exercising the
+   Plaisted–Greenbaum polarity halves emitted across [check] calls), the
+   CNF preprocessor must not change a verdict, and the DIMACS export of
+   an AIG-encoded instance must round-trip to the same verdict. *)
 
 module Sat = Sqed_sat.Sat
 module Dimacs = Sqed_sat.Dimacs
@@ -111,26 +111,28 @@ let test_truth_tables () =
         ])
     gates
 
-(* Polarity-awareness is observable from outside: asserting a wide
-   conjunction needs only the lit -> cone halves, so the AIG path must
-   produce strictly fewer clauses than full Tseitin on the same term. *)
+(* Polarity-awareness is observable from outside: asserting a term needs
+   only the lit -> cone halves of its cone, so [assert_bool] must emit
+   strictly fewer clauses than blasting the term to a literal (both
+   halves, as for a literal that escapes to the caller) and asserting
+   that literal as a unit clause. *)
 let test_pg_fewer_clauses () =
   let width = 16 in
   let x = Term.var "x" width and y = Term.var "y" width in
   let prop = Term.eq (Term.add x y) (Term.sub y x) in
-  let direct = Solver.create ~simplify:false ~aig:false () in
-  let aig = Solver.create ~simplify:false ~aig:true () in
-  Solver.assert_ direct prop;
-  Solver.assert_ aig prop;
+  let one_half = Sat.create () and both_halves = Sat.create () in
+  Smt.Bitblast.assert_bool (Smt.Bitblast.create one_half) prop;
+  Sat.add_clause both_halves
+    [ Smt.Bitblast.blast_bool (Smt.Bitblast.create both_halves) prop ];
   Alcotest.(check bool) "same verdict" true
-    (Solver.check direct = Solver.check aig);
+    (Sat.solve one_half = Sat.solve both_halves);
   Alcotest.(check bool)
-    (Printf.sprintf "fewer clauses (%d aig vs %d direct)"
-       (Solver.num_clauses aig) (Solver.num_clauses direct))
+    (Printf.sprintf "fewer clauses (%d asserted vs %d blasted)"
+       (Sat.num_clauses one_half) (Sat.num_clauses both_halves))
     true
-    (Solver.num_clauses aig < Solver.num_clauses direct)
+    (Sat.num_clauses one_half < Sat.num_clauses both_halves)
 
-(* -- random QF_BV differential ------------------------------------------ *)
+(* -- random QF_BV fuzz ----------------------------------------------------- *)
 
 let random_term rng vars depth width =
   let rec go depth =
@@ -173,24 +175,96 @@ let vars = [ "x"; "y"; "z" ]
 let model_satisfies solver prop =
   Sqed_bv.Bv.to_int (Solver.model_value solver prop) = 1
 
-(* Verdict + model agreement between the two bit-blasting backends, then
-   a follow-up check under assumptions on the same (incremental) pair. *)
+(* The reference configuration: every test solver runs without the CNF
+   preprocessor unless it is the thing under test. *)
+let plain = { Solver.default_config with Solver.simplify = false }
+
+(* -- the oracle: exhaustive evaluation ------------------------------------ *)
+
+(* Three 6-bit variables make 2^18 assignments, few enough to decide
+   every UNSAT verdict by enumeration.  [compile] turns a term of the
+   fuzz grammar into a closure over an int environment (variable i of
+   [vars] at [env.(i)]) once, so an enumeration costs no allocation;
+   [Term.eval] builds a memo table and bit-vectors per call, which is
+   ~30x slower here.  "int evaluator = Term.eval" cross-checks the two. *)
+let var_index name =
+  let rec find i = function
+    | v :: _ when v = name -> i
+    | _ :: rest -> find (i + 1) rest
+    | [] -> invalid_arg ("var_index: unknown variable " ^ name)
+  in
+  find 0 vars
+
+let compile (t : Term.t) : int array -> int =
+  let rec go (t : Term.t) =
+    let w = Term.width t in
+    let mask = (1 lsl w) - 1 in
+    let bin f a b =
+      let a = go a and b = go b in
+      fun env -> f (a env) (b env)
+    in
+    let bool b = if b then 1 else 0 in
+    match t.Term.node with
+    | Term.Var (name, _) ->
+        let i = var_index name in
+        fun env -> env.(i)
+    | Term.Const v ->
+        let c = Sqed_bv.Bv.to_int v in
+        fun _ -> c
+    | Term.Not a ->
+        let a = go a in
+        fun env -> lnot (a env) land mask
+    | Term.And (a, b) -> bin ( land ) a b
+    | Term.Or (a, b) -> bin ( lor ) a b
+    | Term.Xor (a, b) -> bin ( lxor ) a b
+    | Term.Add (a, b) -> bin (fun x y -> (x + y) land mask) a b
+    | Term.Sub (a, b) -> bin (fun x y -> (x - y) land mask) a b
+    | Term.Mul (a, b) -> bin (fun x y -> (x * y) land mask) a b
+    | Term.Shl (a, b) ->
+        bin (fun x y -> if y >= w then 0 else (x lsl y) land mask) a b
+    | Term.Lshr (a, b) -> bin (fun x y -> if y >= w then 0 else x lsr y) a b
+    | Term.Eq (a, b) -> bin (fun x y -> bool (x = y)) a b
+    | Term.Ult (a, b) -> bin (fun x y -> bool (x < y)) a b
+    | Term.Ite (c, a, b) ->
+        let c = go c and a = go a and b = go b in
+        fun env -> if c env = 1 then a env else b env
+    | _ -> invalid_arg ("compile: outside the fuzz grammar: " ^ Term.to_string t)
+  in
+  go t
+
+(* Does some assignment make every term of [props] true? *)
+let satisfiable props =
+  let fs = List.map compile props in
+  let nvars = List.length vars in
+  let env = Array.make nvars 0 in
+  let found = ref false and a = ref 0 in
+  while (not !found) && !a < 1 lsl (nvars * width) do
+    for i = 0 to nvars - 1 do
+      env.(i) <- (!a lsr (i * width)) land ((1 lsl width) - 1)
+    done;
+    found := List.for_all (fun f -> f env = 1) fs;
+    incr a
+  done;
+  !found
+
+(* A verdict on the conjunction of [props]: SAT must come with a model
+   of every term, UNSAT must survive enumeration. *)
+let verdict_ok solver props = function
+  | Solver.Sat -> List.for_all (model_satisfies solver) props
+  | Solver.Unsat -> not (satisfiable props)
+  | Solver.Unknown -> false
+
+(* Verdict and model of one assertion, then a follow-up check under
+   assumptions on the same (incremental) solver. *)
 let aig_differential seed =
   let rng = Random.State.make [| seed |] in
   let prop = random_prop rng vars width in
-  let direct = Solver.create ~simplify:false ~aig:false () in
-  let aig = Solver.create ~simplify:false ~aig:true () in
-  Solver.assert_ direct prop;
-  Solver.assert_ aig prop;
-  let r_direct = Solver.check direct and r_aig = Solver.check aig in
-  (match (r_direct, r_aig) with
-  | Solver.Sat, Solver.Sat -> model_satisfies aig prop
-  | Solver.Unsat, Solver.Unsat -> true
-  | _ -> false)
+  let s = Solver.create ~config:plain () in
+  Solver.assert_ s prop;
+  verdict_ok s [ prop ] (Solver.check s)
   &&
   let assum = random_prop rng vars width in
-  Solver.check ~assumptions:[ assum ] direct
-  = Solver.check ~assumptions:[ assum ] aig
+  verdict_ok s [ prop; assum ] (Solver.check ~assumptions:[ assum ] s)
 
 (* Incremental adds after a check: later assertions extend already
    converted cones, forcing the encoder to emit missing polarity halves
@@ -199,41 +273,53 @@ let aig_incremental seed =
   let rng = Random.State.make [| seed |] in
   let p1 = random_prop rng vars width in
   let p2 = random_prop rng vars width in
-  let direct = Solver.create ~simplify:false ~aig:false () in
-  let aig = Solver.create ~simplify:false ~aig:true () in
-  Solver.assert_ direct p1;
-  Solver.assert_ aig p1;
-  let r1 = Solver.check direct = Solver.check aig in
-  Solver.assert_ direct p2;
-  Solver.assert_ aig p2;
-  let rd = Solver.check direct and ra = Solver.check aig in
-  r1 && rd = ra
-  && (ra <> Solver.Sat
-     || (model_satisfies aig p1 && model_satisfies aig p2))
+  let s = Solver.create ~config:plain () in
+  Solver.assert_ s p1;
+  let r1 = verdict_ok s [ p1 ] (Solver.check s) in
+  Solver.assert_ s p2;
+  r1 && verdict_ok s [ p1; p2 ] (Solver.check s)
 
-(* Full matrix point: AIG and the CNF preprocessor together must agree
-   with both features off (eliminated gate variables vs late polarity
-   halves is the risky interaction). *)
+(* The CNF preprocessor on top of the AIG must agree with it off
+   (eliminated gate variables vs late polarity halves is the risky
+   interaction), and its verdicts must pass the oracle. *)
 let aig_simplify_matrix seed =
   let rng = Random.State.make [| seed |] in
   let p1 = random_prop rng vars width in
   let p2 = random_prop rng vars width in
-  let plain = Solver.create ~simplify:false ~aig:false () in
-  let full = Solver.create ~simplify:true ~aig:true () in
+  let plain = Solver.create ~config:plain () in
+  let full = Solver.create ~config:Solver.default_config () in
   Solver.assert_ plain p1;
   Solver.assert_ full p1;
-  let r1 = Solver.check plain = Solver.check full in
+  let r1 = Solver.check full in
+  let ok1 = Solver.check plain = r1 && verdict_ok full [ p1 ] r1 in
   Solver.assert_ plain p2;
   Solver.assert_ full p2;
   let rp = Solver.check plain and rf = Solver.check full in
-  r1 && rp = rf && (rf <> Solver.Sat || model_satisfies full p2)
+  ok1 && rp = rf && verdict_ok full [ p1; p2 ] rf
+
+(* The oracle's own check: the compiled evaluator agrees with
+   [Term.eval] on random terms and propositions at random points. *)
+let evaluator_agrees seed =
+  let rng = Random.State.make [| seed |] in
+  let t = random_term rng vars 3 width and p = random_prop rng vars width in
+  let ft = compile t and fp = compile p in
+  List.for_all
+    (fun _ ->
+      let env =
+        Array.init (List.length vars) (fun _ ->
+            Random.State.int rng (1 lsl width))
+      in
+      let lookup name = Sqed_bv.Bv.of_int ~width env.(var_index name) in
+      let eval u = Sqed_bv.Bv.to_int (Term.eval lookup u) in
+      ft env = eval t && fp env = eval p)
+    (List.init 16 Fun.id)
 
 (* DIMACS export of the post-AIG clause stream must be equisatisfiable
    with the instance: parse it back and re-solve from scratch. *)
-let dimacs_roundtrip ~aig seed =
+let dimacs_roundtrip seed =
   let rng = Random.State.make [| seed |] in
   let prop = random_prop rng vars width in
-  let s = Solver.create ~simplify:false ~aig () in
+  let s = Solver.create ~config:plain () in
   Solver.assert_ s prop;
   let verdict = Solver.check s in
   match Dimacs.parse (Solver.to_dimacs s) with
@@ -248,6 +334,8 @@ let dimacs_roundtrip ~aig seed =
       in
       same && cnf.Dimacs.num_vars >= 1
 
+(* The "aig = direct" names predate the oracle: those properties were
+   first checked against a second, direct-Tseitin encoder. *)
 let props =
   let arb = QCheck.make ~print:string_of_int QCheck.Gen.nat in
   [
@@ -258,9 +346,9 @@ let props =
     QCheck.Test.make ~name:"aig+simplify = plain" ~count:100 arb
       aig_simplify_matrix;
     QCheck.Test.make ~name:"dimacs round-trip (aig)" ~count:40 arb
-      (dimacs_roundtrip ~aig:true);
-    QCheck.Test.make ~name:"dimacs round-trip (direct)" ~count:20 arb
-      (dimacs_roundtrip ~aig:false);
+      dimacs_roundtrip;
+    QCheck.Test.make ~name:"int evaluator = Term.eval" ~count:200 arb
+      evaluator_agrees;
   ]
 
 let suite =

@@ -301,7 +301,6 @@ let config =
     ("jobs", Json.Int 1);
     ("fast", Json.Bool true);
     ("simplify", Json.Bool true);
-    ("aig", Json.Bool true);
     ("portfolio", Json.Int 1);
   ]
 
@@ -370,6 +369,44 @@ let test_ledger_compatible () =
   let bare = Json.Obj [ ("schema", Json.String History.schema) ] in
   Alcotest.(check bool) "entries without a config never match" false
     (History.compatible a bare)
+
+(* A run appended after a crash tore the last line must land on a line
+   of its own: fused onto the torn bytes it would be dropped with them. *)
+let test_ledger_append_after_torn_tail () =
+  with_temp (fun path ->
+      History.append path (mk_entry "a" 40.0);
+      let oc = open_out_gen [ Open_append ] 0o644 path in
+      output_string oc "{\"schema\":\"sepe.ledger/1\",\"kind";
+      close_out oc;
+      History.append path (mk_entry "b" 41.0);
+      let l = History.load path in
+      Alcotest.(check (list string))
+        "both intact entries survive" [ "a"; "b" ]
+        (List.filter_map
+           (fun e -> Option.bind (Json.member "label" e) Json.to_string_opt)
+           l.History.entries);
+      Alcotest.(check int) "only the torn fragment is dropped" 1
+        l.History.dropped)
+
+(* Ledger entries written while a direct-Tseitin bit-blaster existed
+   stamp ["aig": true] between [simplify] and [portfolio]; they ran the
+   AIG path that is now the only one, so they stay usable baselines. *)
+let test_ledger_legacy_aig () =
+  let legacy v =
+    let rec insert = function
+      | ("portfolio", _) :: _ as rest -> ("aig", Json.Bool v) :: rest
+      | f :: rest -> f :: insert rest
+      | [] -> []
+    in
+    mk_entry ~config:(insert config) "old" 40.0
+  in
+  let current = mk_entry "new" 41.0 in
+  Alcotest.(check bool) "aig=true entry matches a current one" true
+    (History.compatible (legacy true) current);
+  Alcotest.(check bool) "symmetric" true
+    (History.compatible current (legacy true));
+  Alcotest.(check bool) "aig=false entry does not" false
+    (History.compatible (legacy false) current)
 
 (* -- properties ----------------------------------------------------------- *)
 
@@ -453,4 +490,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_band_contains_median;
     QCheck_alcotest.to_alcotest prop_band_monotone_in_k;
     QCheck_alcotest.to_alcotest prop_history_median_within;
+    Alcotest.test_case "ledger append after a torn tail" `Quick
+      test_ledger_append_after_torn_tail;
+    Alcotest.test_case "ledger: legacy aig=true config is compatible" `Quick
+      test_ledger_legacy_aig;
   ]

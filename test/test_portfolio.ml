@@ -208,7 +208,7 @@ let test_k1_passthrough () =
     "model ok" true
     (model_ok s v [ [ 1; 2 ]; [ -1; 3 ]; [ -3 ] ])
 
-(* -- QF_BV through Smt.Solver over the simplify × AIG matrix ----------- *)
+(* -- QF_BV through Smt.Solver, with and without CNF preprocessing ------ *)
 
 let qfbv_matrix_differential seed =
   let module Term = Smt.Term in
@@ -239,21 +239,27 @@ let qfbv_matrix_differential seed =
   let prop = Term.eq (random_term 3) (random_term 3) in
   let assum = Term.eq (Term.var "x" width) (Term.var "y" width) in
   let extra = Term.eq (Term.var "y" width) (Term.var "z" width) in
-  let reference simplify aig =
-    let s = Solver.create ~simplify ~aig ~portfolio:1 () in
+  let reference simplify =
+    let s =
+      Solver.create
+        ~config:{ Solver.default_config with Solver.simplify; portfolio = 1 }
+        ()
+    in
     Solver.assert_ s prop;
     let r1 = Solver.check s in
     let r2 = Solver.check ~assumptions:[ assum ] s in
     Solver.assert_ s extra;
     (r1, r2, Solver.check s)
   in
-  let want = reference true true in
+  let want = reference true in
   List.for_all
-    (fun (simplify, aig) ->
-      reference simplify aig = want
+    (fun simplify ->
+      reference simplify = want
       &&
       let s =
-        Solver.create ~simplify ~aig ~portfolio:3 ~portfolio_deterministic:true
+        Solver.create
+          ~config:
+            { Solver.simplify; portfolio = 3; portfolio_deterministic = true }
           ()
       in
       Solver.set_portfolio_active s true;
@@ -267,7 +273,7 @@ let qfbv_matrix_differential seed =
       Solver.assert_ s extra;
       let r3 = Solver.check s in
       ok_model && (r1, r2, r3) = want)
-    [ (true, true); (true, false); (false, true); (false, false) ]
+    [ true; false ]
 
 let props =
   let arb ~nvars ~max_len =

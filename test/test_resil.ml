@@ -343,20 +343,22 @@ let random_constraint st vars =
 let test_smt_interrupted_agrees () =
   let vars = Array.init 3 (fun i -> Term.var (Printf.sprintf "rz%d" i) 8) in
   List.iter
-    (fun (simplify, aig) ->
-      let st = Random.State.make [| 0xca11; Bool.to_int simplify; Bool.to_int aig |] in
+    (fun simplify ->
+      (* The trailing 1 pins the seeds these rounds have always used. *)
+      let st = Random.State.make [| 0xca11; Bool.to_int simplify; 1 |] in
+      let config = { Solver.default_config with Solver.simplify } in
       for round = 1 to 6 do
         let phi1 = random_constraint st vars in
         let phi2 = random_constraint st vars in
-        let s_int = Solver.create ~simplify ~aig () in
-        let s_ref = Solver.create ~simplify ~aig () in
+        let s_int = Solver.create ~config () in
+        let s_ref = Solver.create ~config () in
         Solver.assert_ s_int phi1;
         Solver.assert_ s_ref phi1;
         (* Interrupted check: a deadline in the past bounds the whole
            call, so it must answer Unknown without corrupting state. *)
         Alcotest.(check bool)
-          (Printf.sprintf "simplify=%b aig=%b round %d: past deadline is \
-                           Unknown" simplify aig round)
+          (Printf.sprintf "simplify=%b round %d: past deadline is Unknown"
+             simplify round)
           true
           (Solver.check ~deadline:(Unix.gettimeofday () -. 1.0) s_int
           = Solver.Unknown);
@@ -364,8 +366,8 @@ let test_smt_interrupted_agrees () =
         Solver.assert_ s_ref phi2;
         let a = Solver.check s_int and b = Solver.check s_ref in
         Alcotest.(check bool)
-          (Printf.sprintf "simplify=%b aig=%b round %d: verdicts agree"
-             simplify aig round)
+          (Printf.sprintf "simplify=%b round %d: verdicts agree" simplify
+             round)
           true (a = b);
         (* A Sat answer must come with a model satisfying both
            constraints — on the previously interrupted solver too. *)
@@ -376,7 +378,7 @@ let test_smt_interrupted_agrees () =
                (Solver.model_value s_int (Term.and_ phi1 phi2))
             = 1)
       done)
-    [ (true, true); (true, false); (false, true); (false, false) ]
+    [ true; false ]
 
 (* ---- acceptance: deadline below bit-blast time ------------------------ *)
 

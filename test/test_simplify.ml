@@ -200,8 +200,10 @@ let qfbv_differential seed =
   let vars = [ "x"; "y"; "z" ] in
   let t1 = random_term rng vars 3 width and t2 = random_term rng vars 3 width in
   let prop = Term.eq t1 t2 in
-  let plain = Solver.create ~simplify:false () in
-  let simp = Solver.create ~simplify:true () in
+  let plain =
+    Solver.create ~config:{ Solver.default_config with simplify = false } ()
+  in
+  let simp = Solver.create ~config:Solver.default_config () in
   Solver.assert_ plain prop;
   Solver.assert_ simp prop;
   let r_plain = Solver.check plain and r_simp = Solver.check simp in
