@@ -2,9 +2,12 @@
    evaluation section (see DESIGN.md's experiment index), plus Bechamel
    micro-benchmarks of the substrates.
 
-     dune exec bench/main.exe                 -- everything (E1-E4 + micro)
+     dune exec bench/main.exe                 -- all nine experiments
      dune exec bench/main.exe -- fig3         -- one experiment
      dune exec bench/main.exe -- table1 --fast --jobs 4
+
+   With no experiment named it runs every entry of [all] below, the
+   portfolio arm's 600 s budget included.
 
    Wall-clock seconds are reported for the heavyweight experiments (each
    cell is one solver campaign, not a repeatable microbenchmark); micro
@@ -18,7 +21,9 @@
    jobs value; only the wall clock changes.
 
    A machine-readable summary of every experiment run is written to
-   BENCH_sepe.json (--json PATH overrides the location). *)
+   BENCH_sepe.json (--json PATH overrides the location).  The shared run
+   flags (--trace, --metrics-json, --log, --report, --ledger, --baseline,
+   ...) and the exit codes come from Sqed_exp.Session, as for `sepe`. *)
 
 module Config = Sqed_proc.Config
 module Bug = Sqed_proc.Bug
@@ -31,35 +36,22 @@ module Span = Sqed_obs.Trace
 
 module Journal = Sqed_resil.Journal
 module Verdict = Sqed_resil.Verdict
-module Obs_log = Sqed_obs.Log
 module Sampler = Sqed_obs.Sampler
 module Progress = Sqed_obs.Progress
-module Report = Sqed_obs.Report
 module Solver = Sqed_smt.Solver
+module Json = Sqed_obs.Json
+module Session = Sqed_exp.Session
 
+(* The bench's own flags, set once by [main] before any experiment runs. *)
 let fast = ref false
 let jobs = ref 0 (* 0 = Pool.default_jobs () *)
-let json_path = ref "BENCH_sepe.json"
-let metrics_on = ref true (* --no-metrics opts out *)
-let trace_path = ref None
-let metrics_json_path = ref None
-let log_path = ref None (* --log FILE|-: JSONL event log *)
-let report_path = ref None (* --report FILE: HTML report + run.json *)
 let checkpoint = ref None (* --checkpoint FILE: journal + resume fig3/table1 *)
-let ledger_path = ref None (* --ledger FILE: append this run to the ledger *)
-let baseline_path = ref None (* --baseline FILE: gate against ledger history *)
-let baseline_window = ref 20 (* --baseline-window N: history entries used *)
-let baseline_k = ref 4.0 (* --baseline-k K: MAD multiplier of the band *)
 
 (* --handicap F: sleep F x the measured wall inside every experiment
    timer, inflating br_wall deterministically.  Exists purely to let CI
    demonstrate the regression sentinel trips: a handicapped run against
    an honest baseline must exit with the regression code. *)
 let handicap = ref 0.0
-
-(* --no-simplify, --portfolio K, --portfolio-deterministic: collected
-   while parsing, then installed once as the run-wide solver config. *)
-let solver_config = ref Solver.default_config
 
 let line = String.make 72 '-'
 
@@ -87,16 +79,6 @@ type bench_record = {
 
 let records : bench_record list ref = ref []
 
-module Json = Sqed_obs.Json
-module History = Sqed_obs.History
-module Diff = Sqed_obs.Diff
-
-(* The solver-configuration stamp: two runs are only comparable when
-   these knobs match, so the ledger carries them in provenance and the
-   sentinel filters its baseline through them. *)
-let config_json () =
-  Sqed_exp.Provenance.config ~jobs:(jobs_used ()) ~fast:!fast
-
 let bench_payload () =
   let experiments =
     List.rev_map
@@ -110,19 +92,20 @@ let bench_payload () =
           ])
       !records
   in
+  (* The solver-configuration stamp: two runs are only comparable when
+     these knobs match. *)
   Json.Obj
-    (config_json ()
+    (Sqed_exp.Provenance.config ~jobs:(jobs_used ()) ~fast:!fast
     @ [
         ("experiments", Json.List experiments);
         ("metrics", Metrics.to_json ());
       ])
 
-let write_json payload =
-  let oc = open_out !json_path in
-  output_string oc (Json.to_string payload);
-  output_char oc '\n';
-  close_out oc;
-  Printf.printf "\nwrote %s\n%!" !json_path
+let write_json path payload =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc (Json.to_string payload);
+      output_char oc '\n');
+  Printf.printf "\nwrote %s\n%!" path
 
 (* Run one experiment inside a span, attributing the global SAT clause and
    conflict counters to it by delta.  The registry aggregates across every
@@ -288,8 +271,7 @@ let table1 () =
           (fun bug ->
             Option.map
               (fun row -> (bug, row))
-              (Option.bind (Journal.find j (key bug))
-                 Sqed_obs.Json.to_string_opt))
+              (Option.bind (Journal.find j (key bug)) Json.to_string_opt))
           bugs
   in
   if resumed_rows <> [] then
@@ -302,7 +284,7 @@ let table1 () =
     let row = run_bug bug in
     (match journal with
     | Some j -> (
-        match Journal.try_record j (key bug) (Sqed_obs.Json.String row) with
+        match Journal.try_record j (key bug) (Json.String row) with
         | Ok () -> ()
         | Error msg ->
             Printf.printf "checkpoint: write failed for %s (%s); continuing\n%!"
@@ -688,277 +670,82 @@ let micro () =
 
 (* ------------------------------------------------------------------ *)
 
+let all =
+  [
+    ("fig3", fig3);
+    ("table1", table1);
+    ("fig4", fig4);
+    ("classical", classical);
+    ("ablation", ablation);
+    ("scaling", scaling);
+    ("crosscore", crosscore);
+    ("portfolio", portfolio);
+    ("micro", micro);
+  ]
+
+let main session names fast' jobs' json checkpoint' handicap' =
+  fast := fast';
+  jobs := Option.value jobs' ~default:0;
+  checkpoint := checkpoint';
+  handicap := handicap';
+  let label = if names = [] then "all" else String.concat "+" names in
+  let names = if names = [] then List.map fst all else names in
+  let payload = lazy (bench_payload ()) in
+  Session.run session ~kind:"bench" ~label ~jobs:(jobs_used ()) ~fast:!fast
+    ~payload:(fun () -> Lazy.force payload)
+    (fun () ->
+      (* Always on: the payload's clause/conflict columns are deltas of
+         Metrics counters, and the sampler rides along so a summary never
+         hides an empty time series. *)
+      Metrics.enabled := true;
+      Sampler.enabled := true;
+      Printf.printf "worker domains: %d (SEPE_JOBS or --jobs N to change)\n%!"
+        (jobs_used ());
+      List.iter (fun n -> timed n (List.assoc n all)) names;
+      write_json json (Lazy.force payload);
+      if Verdict.degraded !campaign then
+        Printf.printf "%s\n%!" (Verdict.summary_line !campaign);
+      !campaign)
+
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* Flags: --fast, --jobs N, --json PATH, --no-metrics, --no-simplify,
-     --portfolio K, --portfolio-deterministic, --trace PATH,
-     --metrics-json PATH, --log PATH|-, --progress, --report PATH,
-     --checkpoint FILE, --fault-inject SPEC, --ledger FILE,
-     --baseline FILE, --baseline-window N, --baseline-k K,
-     --handicap F; everything else names an experiment.  "-" for
-     --trace/--metrics-json means stdout, for --log stderr. *)
-  let rec parse acc = function
-    | [] -> List.rev acc
-    | "--fast" :: rest ->
-        fast := true;
-        parse acc rest
-    | "--no-simplify" :: rest ->
-        (* A/B switch for the SAT core's CNF preprocessor; the
-           sat.simplify.* counters in the JSON record the on-side. *)
-        solver_config := { !solver_config with Solver.simplify = false };
-        parse acc rest
-    | "--portfolio" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some k when k > 0 ->
-            (* Portfolio width for every solver the run creates; only
-               deep BMC bounds actually engage it (the sat.portfolio.*
-               counters in the JSON record how often). *)
-            solver_config := { !solver_config with Solver.portfolio = k };
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--portfolio expects a positive integer, got %S\n" n;
-            exit 1)
-    | "--portfolio-deterministic" :: rest ->
-        solver_config :=
-          { !solver_config with Solver.portfolio_deterministic = true };
-        parse acc rest
-    | "--jobs" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some k when k > 0 ->
-            jobs := k;
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %S\n" n;
-            exit 1)
-    | "--json" :: path :: rest ->
-        json_path := path;
-        parse acc rest
-    | "--no-metrics" :: rest ->
-        metrics_on := false;
-        parse acc rest
-    | "--trace" :: path :: rest ->
-        trace_path := Some path;
-        parse acc rest
-    | "--metrics-json" :: path :: rest ->
-        metrics_json_path := Some path;
-        parse acc rest
-    | "--log" :: path :: rest ->
-        log_path := Some path;
-        parse acc rest
-    | "--progress" :: rest ->
-        Progress.enabled := true;
-        parse acc rest
-    | "--report" :: path :: rest ->
-        report_path := Some path;
-        parse acc rest
-    | "--checkpoint" :: path :: rest ->
-        checkpoint := Some path;
-        parse acc rest
-    | "--ledger" :: path :: rest ->
-        ledger_path := Some path;
-        parse acc rest
-    | "--baseline" :: path :: rest ->
-        baseline_path := Some path;
-        parse acc rest
-    | "--baseline-window" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some k when k > 0 ->
-            baseline_window := k;
-            parse acc rest
-        | _ ->
-            Printf.eprintf
-              "--baseline-window expects a positive integer, got %S\n" n;
-            exit 1)
-    | "--baseline-k" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some k when k > 0.0 ->
-            baseline_k := k;
-            parse acc rest
-        | _ ->
-            Printf.eprintf "--baseline-k expects a positive number, got %S\n" v;
-            exit 1)
-    | "--handicap" :: v :: rest -> (
-        match float_of_string_opt v with
-        | Some f when f >= 0.0 ->
-            handicap := f;
-            parse acc rest
-        | _ ->
-            Printf.eprintf
-              "--handicap expects a non-negative factor, got %S\n" v;
-            exit 1)
-    | "--fault-inject" :: spec :: rest -> (
-        (* Deterministic fault injection (see Sqed_resil.Fault); overrides
-           any SEPE_FAULT environment spec. *)
-        match Sqed_resil.Fault.configure spec with
-        | () -> parse acc rest
-        | exception Invalid_argument msg ->
-            Printf.eprintf "--fault-inject: %s\n" msg;
-            exit 1)
-    | a :: rest -> parse (a :: acc) rest
+  let open Cmdliner in
+  (* [conv] restricted to the values [ok] accepts. *)
+  let checked c what ok =
+    let parse s =
+      match Arg.conv_parser c s with
+      | Ok v when ok v -> Ok v
+      | Ok _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" what s))
+      | Error _ as e -> e
+    in
+    Arg.conv (parse, Arg.conv_printer c)
   in
-  let args = parse [] args in
-  Solver.set_config !solver_config;
-  Metrics.enabled := !metrics_on;
-  (* The sampler rides along whenever metrics are on: a bench summary
-     whose obs.sampler.samples is 0 was the blind spot that hid empty
-     sparklines until someone opened a report. *)
-  Sampler.enabled := !metrics_on;
-  if !trace_path <> None then Span.enabled := true;
-  Option.iter Obs_log.set_sink !log_path;
-  if !report_path <> None then begin
-    (* The report embeds the metrics snapshot and the sampler series. *)
-    Metrics.enabled := true;
-    Sampler.enabled := true
-  end;
-  let all =
-    [
-      ("fig3", fig3);
-      ("table1", table1);
-      ("fig4", fig4);
-      ("classical", classical);
-      ("ablation", ablation);
-      ("scaling", scaling);
-      ("crosscore", crosscore);
-      ("portfolio", portfolio);
-      ("micro", micro);
-    ]
+  let opt c default name docv doc =
+    Arg.(value & opt c default & info [ name ] ~docv ~doc)
   in
-  Printf.printf "worker domains: %d (SEPE_JOBS or --jobs N to change)\n%!"
-    (jobs_used ());
-  (match args with
-  | [] -> List.iter (fun (name, f) -> timed name f) all
-  | names ->
-      List.iter
-        (fun n ->
-          match List.assoc_opt n all with
-          | Some f -> timed n f
-          | None ->
-              Printf.eprintf
-                "unknown experiment %S (fig3|table1|fig4|classical|micro)\n" n;
-              exit 1)
-        names);
-  let payload = bench_payload () in
-  write_json payload;
-  (match !trace_path with
-  | Some path ->
-      Span.export path;
-      Printf.printf "wrote %s (%d events, %d dropped)\n%!"
-        (if path = "-" then "<stdout>" else path)
-        (List.length (Span.events ()))
-        (Span.dropped ())
-  | None -> ());
-  (match !metrics_json_path with
-  | Some path ->
-      let json = Sqed_obs.Json.to_string (Metrics.to_json ()) in
-      if path = "-" then print_endline json
-      else begin
-        let oc = open_out path in
-        output_string oc json;
-        output_char oc '\n';
-        close_out oc;
-        Printf.printf "wrote %s\n%!" path
-      end
-  | None -> ());
-  (match !report_path with
-  | Some path ->
-      let cmdline = String.concat " " (Array.to_list Sys.argv) in
-      (* When a ledger is in play the report grows its cross-run
-         section: sparklines over the archived runs + band verdicts. *)
-      let history =
-        match (!baseline_path, !ledger_path) with
-        | Some p, _ | None, Some p -> (History.load p).History.entries
-        | None, None -> []
-      in
-      let sidecar = Report.write ~title:"bench run" ~cmdline ~history ~path () in
-      Printf.printf "wrote %s (+ %s)\n%!" path sidecar
-  | None -> ());
-  (* Regression sentinel: this run against the config-compatible tail
-     of the baseline ledger.  Runs before the ledger append below so a
-     run is never its own baseline. *)
-  let regressed =
-    match !baseline_path with
-    | None -> false
-    | Some path ->
-        section (Printf.sprintf "baseline - this run vs ledger %s" path);
-        let loaded = History.load path in
-        if loaded.History.dropped > 0 then
-          Printf.printf "note: dropped %d torn/invalid ledger line(s)\n"
-            loaded.History.dropped;
-        let probe =
-          History.entry ~kind:"bench" ~label:"probe"
-            ~provenance:(History.provenance ~config:(config_json ()) ())
-            ~run:Json.Null
-        in
-        let compatible =
-          List.filter (History.compatible probe) loaded.History.entries
-        in
-        let incompatible =
-          List.length loaded.History.entries - List.length compatible
-        in
-        if incompatible > 0 then
-          Printf.printf
-            "note: ignoring %d entr%s with a different {jobs,fast,simplify,\
-             portfolio} config\n"
-            incompatible
-            (if incompatible = 1 then "y" else "ies");
-        let history = List.filter_map History.run_of compatible in
-        let deltas =
-          Diff.compare_history ~k:!baseline_k ~window:!baseline_window ~history
-            ~cur:payload ()
-        in
-        (* Gated metrics always print; counters only when they left the
-           band, so the table stays readable. *)
-        List.iter
-          (fun d ->
-            if
-              Diff.gated d.Diff.dl_metric
-              || d.Diff.dl_verdict = Diff.Regressed
-              || d.Diff.dl_verdict = Diff.Improved
-            then Printf.printf "%s\n" (Diff.to_string d))
-          deltas;
-        let regs = Diff.regressions deltas in
-        if regs = [] then begin
-          Printf.printf
-            "baseline: clean (%d compatible run(s), window %d, k=%.1f)\n%!"
-            (List.length history) !baseline_window !baseline_k;
-          false
-        end
-        else begin
-          Printf.printf
-            "baseline: PERF REGRESSION - %d gated metric(s) above the noise \
-             band\n%!"
-            (List.length regs);
-          true
-        end
-  in
-  (match !ledger_path with
-  | None -> ()
-  | Some path ->
-      let label =
-        match args with [] -> "all" | names -> String.concat "+" names
-      in
-      let entry =
-        History.entry ~kind:"bench" ~label
-          ~provenance:(History.provenance ~config:(config_json ()) ())
-          ~run:payload
-      in
-      History.append path entry;
-      Printf.printf "ledger: appended run to %s (%d entr%s)\n%!" path
-        (List.length (History.load path).History.entries)
-        (if List.length (History.load path).History.entries = 1 then "y"
-         else "ies"));
-  Obs_log.close_sink ();
-  if Verdict.degraded !campaign then begin
-    Printf.printf "%s\n%!" (Verdict.summary_line !campaign);
-    (* Degraded exit: surface the recorder's last warnings first. *)
-    let tail = Obs_log.tail ~min_level:Obs_log.Warn 10 in
-    if tail <> [] then begin
-      Printf.eprintf "last %d warning/error events:\n" (List.length tail);
-      Obs_log.dump_tail ~min_level:Obs_log.Warn 10 stderr
-    end;
-    exit (Verdict.exit_code !campaign)
-  end
-  else if regressed then
-    (* Exit 5: the perf-regression sentinel (distinct from 3/4 degraded
-       campaigns); documented in README's exit-code table. *)
-    exit 5
+  Term.(
+    const main $ Session.term
+    $ Arg.(
+        value
+        & pos_all (enum (List.map (fun (n, _) -> (n, n)) all)) []
+        & info [] ~docv:"EXPERIMENT"
+            ~doc:"Experiments to run, in order (default: all of them).")
+    $ Arg.(value & flag & info [ "fast" ] ~doc:"Reduced workloads and budgets.")
+    $ opt
+        Arg.(some (checked int "a positive integer" (fun n -> n > 0)))
+        None "jobs" "N"
+        "Worker domains for the fig3 and table1 fan-outs (default: the \
+         SEPE_JOBS environment variable, then the core count)."
+    $ opt Arg.string "BENCH_sepe.json" "json" "FILE"
+        "Where to write the machine-readable summary."
+    $ opt Arg.(some string) None "checkpoint" "FILE"
+        "Journal completed fig3/table1 cells to $(docv) and resume from it: \
+         a rerun with the same file skips journaled cells."
+    $ opt
+        (checked Arg.float "a non-negative factor" (fun f -> f >= 0.0))
+        0.0 "handicap" "F"
+        "Sleep $(docv) times each experiment's measured wall before \
+         recording it, to show that the $(b,--baseline) sentinel trips.")
+  |> Cmd.v
+       (Cmd.info "bench" ~exits:Session.exits
+          ~doc:"Regenerate the paper's tables and figures.")
+  |> Cmd.eval' |> exit

@@ -9,314 +9,34 @@ module V = Sepe_sqed.Verifier
 module Flow = Sepe_sqed.Flow
 module Synth = Sqed_synth
 module Pool = Sqed_par.Pool
-module Metrics = Sqed_obs.Metrics
-module Span = Sqed_obs.Trace
-module Obs_log = Sqed_obs.Log
-module Sampler = Sqed_obs.Sampler
 module Progress = Sqed_obs.Progress
 module Report = Sqed_obs.Report
 module History = Sqed_obs.History
 module Diff = Sqed_obs.Diff
 module Json = Sqed_obs.Json
 module Verdict = Sqed_resil.Verdict
+module Session = Sqed_exp.Session
 
 open Cmdliner
 
-(* Exit code for degraded (but completed) campaigns: 3 = inconclusive
-   cases only, 4 = at least one hard failure.  Recorded here and applied
-   after [Cmd.eval] returns, so [with_obs]'s finalizers (trace export,
-   metrics report) still run — an [exit] inside a command body would
-   skip them. *)
-let degraded_exit = ref 0
+(* ---- the run session ---------------------------------------------------- *)
 
-let note_summary s = degraded_exit := max !degraded_exit (Verdict.exit_code s)
+(* Every subcommand but `runs` takes the shared Session flags and runs its
+   body inside [Session.run], which returns the exit code.  Campaign
+   bodies return their verdict summary; the rest are clean by
+   construction. *)
 
-(* Set by `sepe runs compare --gate` when a gated metric leaves its
-   ledger noise band; turns into exit code 5 unless a degraded campaign
-   verdict (3/4) takes precedence. *)
-let regression_exit = ref false
+let campaign ?jobs ?(fast = false) label obs body =
+  Session.run obs ~kind:"sepe" ~label
+    ~jobs:(Option.value jobs ~default:(Pool.default_jobs ()))
+    ~fast body
 
-let degraded_exits =
-  Cmd.Exit.info 3
-    ~doc:
-      "a campaign completed degraded: some cases inconclusive (budget \
-       exhausted), none failed."
-  :: Cmd.Exit.info 4
-       ~doc:"a campaign completed degraded: at least one case failed hard."
-  :: Cmd.Exit.info 5
-       ~doc:
-         "the perf-regression sentinel tripped: a gated metric left the \
-          noise band of its ledger baseline."
-  :: Cmd.Exit.defaults
+let session ?jobs label obs body =
+  campaign ?jobs label obs (fun () ->
+      body ();
+      Verdict.empty)
 
-(* Campaign shape for the ledger's provenance config: commands that know
-   their --fast/--jobs values stamp them here before running, so ledger
-   entries are only compared against config-compatible baselines. *)
-let ledger_fast = ref false
-let ledger_jobs = ref None
-
-(* ---- observability ----------------------------------------------------- *)
-
-(* Every subcommand takes the same three flags; [with_obs] flips the
-   global switches before the command body runs and exports/reports in a
-   [finally] so a raising command still leaves its trace behind. *)
-
-type obs_opts = {
-  obs_metrics : bool;
-  obs_metrics_json : string option;
-  obs_trace : string option;
-  obs_log : string option;
-  obs_log_level : string;
-  obs_progress : bool;
-  obs_report : string option;
-  obs_ledger : string option;
-  obs_solver : Sqed_smt.Solver.config;
-  obs_fault : string option;
-}
-
-let obs_t =
-  let metrics =
-    Arg.(
-      value & flag
-      & info [ "metrics" ]
-          ~doc:
-            "After the command finishes, print the observability report: \
-             per-phase timers, solver counters, gauges and histogram \
-             summaries.")
-  in
-  let metrics_json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "metrics-json" ] ~docv:"FILE"
-          ~doc:"Write the full metrics snapshot to $(docv) as JSON.")
-  in
-  let trace =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record phase spans and write a Chrome trace_event JSON array \
-             to $(docv) (open in chrome://tracing or Perfetto).")
-  in
-  let no_simplify =
-    Arg.(
-      value & flag
-      & info [ "no-simplify" ]
-          ~doc:
-            "Disable the SAT core's CNF preprocessing (variable \
-             elimination, subsumption, failed-literal probing) for every \
-             solver this command creates.  Mostly for A/B measurements; \
-             the sat.simplify.* counters record what the preprocessor \
-             did when it is on.")
-  in
-  let portfolio =
-    Arg.(
-      value & opt int 1
-      & info [ "portfolio" ] ~docv:"K"
-          ~doc:
-            "Race $(docv) diversified CDCL workers (different seeds, \
-             polarities, restart schedules, VSIDS decay) on hard SAT \
-             queries, sharing low-LBD learnt clauses; the first \
-             definitive verdict wins and cancels the rest.  Only BMC \
-             depths at or past the engine's threshold pay the \
-             clone/spawn cost — shallow queries and CEGIS candidates \
-             stay single-engine.  The sat.portfolio.* counters and the \
-             portfolio.worker.* event-log records show what each worker \
-             did.")
-  in
-  let portfolio_det =
-    Arg.(
-      value & flag
-      & info [ "portfolio-deterministic" ]
-          ~doc:
-            "Run the portfolio as a reproducible single-domain \
-             round-robin instead of a parallel race: repeat runs give \
-             bit-identical verdicts and solver statistics, at the cost \
-             of the wall-clock speedup.  For CI and debugging.")
-  in
-  let log =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "log" ] ~docv:"FILE"
-          ~doc:
-            "Stream structured JSONL event-log records (timestamp, domain, \
-             level, event, fields) to $(docv); $(b,-) writes to stderr so \
-             CI pipelines can capture the stream without temp files.")
-  in
-  let log_level =
-    Arg.(
-      value
-      & opt (enum [ ("debug", "debug"); ("info", "info"); ("warn", "warn") ])
-          "info"
-      & info [ "log-level" ] ~docv:"LEVEL"
-          ~doc:
-            "Minimum level for $(b,--log) records. $(b,debug) adds \
-             per-solve lifecycle records (noisy, but invaluable for \
-             post-mortems).")
-  in
-  let progress =
-    Arg.(
-      value & flag
-      & info [ "progress" ]
-          ~doc:
-            "Render a live single-line campaign status (cases done/total, \
-             ETA from completed-case durations, in-flight workers, stall \
-             warnings) to stderr while a campaign runs.")
-  in
-  let report =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "report" ] ~docv:"FILE"
-          ~doc:
-            "After the command finishes, write a self-contained HTML run \
-             report to $(docv): sampler sparklines, phase timers, \
-             histogram summaries, per-case verdicts and the event-log \
-             tail, plus a machine-readable $(b,run.json) sidecar.  \
-             Implies metrics and enables the time-series sampler.")
-  in
-  let ledger =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "ledger" ] ~docv:"FILE"
-          ~doc:
-            "Append this run's machine-readable snapshot (the $(b,run.json) \
-             payload, stamped with git commit/dirty flag, hostname, core \
-             count, OCaml version and solver config) to the append-only \
-             JSONL run ledger at $(docv).  Browse and diff the archive \
-             with $(b,sepe runs list|show|compare); when combined with \
-             $(b,--report), the HTML report grows a cross-run history \
-             section.  Implies metrics and the sampler.")
-  in
-  let fault =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "fault-inject" ] ~docv:"SPEC"
-          ~doc:
-            "Arm deterministic fault-injection sites, e.g. \
-             $(b,pool.task:2,checkpoint.write:1) makes the 2nd pool task \
-             and the 1st checkpoint append raise.  Sites: pool.task, \
-             sat.solve, smt.bitblast, checkpoint.write; clause forms \
-             site:N, site:N/M, site:pP\\@SEED.  Overrides the SEPE_FAULT \
-             environment variable.  For exercising the degraded paths — \
-             campaigns report the injected failures and keep going.")
-  in
-  Term.(
-    const
-      (fun obs_metrics obs_metrics_json obs_trace obs_log obs_log_level
-           obs_progress obs_report obs_ledger no_simplify portfolio
-           portfolio_deterministic obs_fault ->
-        {
-          obs_metrics;
-          obs_metrics_json;
-          obs_trace;
-          obs_log;
-          obs_log_level;
-          obs_progress;
-          obs_report;
-          obs_ledger;
-          obs_solver =
-            {
-              Sqed_smt.Solver.simplify = not no_simplify;
-              portfolio;
-              portfolio_deterministic;
-            };
-          obs_fault;
-        })
-    $ metrics $ metrics_json $ trace $ log $ log_level $ progress $ report
-    $ ledger $ no_simplify $ portfolio $ portfolio_det $ fault)
-
-let with_obs obs f =
-  Sqed_smt.Solver.set_config obs.obs_solver;
-  Option.iter Sqed_resil.Fault.configure obs.obs_fault;
-  if obs.obs_metrics || obs.obs_metrics_json <> None then
-    Metrics.enabled := true;
-  if obs.obs_trace <> None then begin
-    (* Tracing needs the timers too, so the trace and the phase table
-       tell the same story. *)
-    Metrics.enabled := true;
-    Span.enabled := true
-  end;
-  (match obs.obs_log with
-  | Some path ->
-      let level =
-        match obs.obs_log_level with
-        | "debug" -> Obs_log.Debug
-        | "warn" -> Obs_log.Warn
-        | _ -> Obs_log.Info
-      in
-      Obs_log.set_sink ~level path
-  | None -> ());
-  if obs.obs_progress then Progress.enabled := true;
-  if obs.obs_report <> None || obs.obs_ledger <> None then begin
-    (* The report and the ledger snapshot embed the metrics and the
-       sampler series, so both recorders must run. *)
-    Metrics.enabled := true;
-    Sampler.enabled := true
-  end;
-  Fun.protect
-    ~finally:(fun () ->
-      (match obs.obs_trace with
-      | Some path ->
-          Span.export path;
-          let n = List.length (Span.events ()) in
-          let d = Span.dropped () in
-          Printf.printf "trace: %d events -> %s%s\n" n
-            (if path = "-" then "<stdout>" else path)
-            (if d > 0 then Printf.sprintf " (%d dropped)" d else "")
-      | None -> ());
-      (match obs.obs_metrics_json with
-      | Some path ->
-          let json = Sqed_obs.Json.to_string (Metrics.to_json ()) in
-          if path = "-" then print_endline json
-          else begin
-            let oc = open_out path in
-            output_string oc json;
-            output_char oc '\n';
-            close_out oc;
-            Printf.printf "metrics: wrote %s\n" path
-          end
-      | None -> ());
-      (match obs.obs_report with
-      | Some path ->
-          let cmdline = String.concat " " (Array.to_list Sys.argv) in
-          let history =
-            match obs.obs_ledger with
-            | Some lp -> (History.load lp).History.entries
-            | None -> []
-          in
-          let sidecar =
-            Report.write ~title:"sepe run" ~cmdline ~history ~path ()
-          in
-          Printf.printf "report: wrote %s (+ %s)\n" path sidecar
-      | None -> ());
-      (match obs.obs_ledger with
-      | Some path ->
-          let cmdline = String.concat " " (Array.to_list Sys.argv) in
-          let config =
-            Sqed_exp.Provenance.config ~fast:!ledger_fast
-              ~jobs:
-                (match !ledger_jobs with
-                | Some j -> j
-                | None -> Pool.default_jobs ())
-          in
-          let label =
-            if Array.length Sys.argv > 1 then Sys.argv.(1) else "sepe"
-          in
-          History.append path
-            (History.entry ~kind:"sepe" ~label
-               ~provenance:(History.provenance ~config ())
-               ~run:(Report.run_payload ~title:"sepe run" ~cmdline ()));
-          Printf.printf "ledger: appended run to %s\n" path
-      | None -> ());
-      if obs.obs_metrics then print_string (Metrics.report ());
-      Obs_log.close_sink ())
-    f
+let info name ~doc = Cmd.info name ~exits:Session.exits ~doc
 
 (* ---- shared arguments -------------------------------------------------- *)
 
@@ -387,7 +107,7 @@ let bug_conv =
 
 let bugs_cmd =
   let run obs () =
-    with_obs obs @@ fun () ->
+    session "bugs" obs @@ fun () ->
     print_endline "Single-instruction bugs (Table 1):";
     List.iter
       (fun b -> Printf.printf "  %-18s %s\n" (Bug.name b) (Bug.describe b))
@@ -397,8 +117,8 @@ let bugs_cmd =
       (fun b -> Printf.printf "  %-18s %s\n" (Bug.name b) (Bug.describe b))
       Bug.all_multi
   in
-  Cmd.v (Cmd.info "bugs" ~doc:"List the mutation catalog.")
-    Term.(const run $ obs_t $ const ())
+  Cmd.v (info "bugs" ~doc:"List the mutation catalog.")
+    Term.(const run $ Session.term $ const ())
 
 (* ---- sepe synth ---------------------------------------------------------- *)
 
@@ -422,7 +142,7 @@ let synth_cmd =
     Arg.(value & opt float 120.0 & info [ "budget" ] ~doc:"Time budget (seconds).")
   in
   let run obs case engine xlen k n_max budget =
-    with_obs obs @@ fun () ->
+    session "synth" obs @@ fun () ->
     let spec = Synth.Library_.spec case in
     let options =
       {
@@ -466,8 +186,8 @@ let synth_cmd =
     | other -> Printf.eprintf "unknown engine %S\n" other
   in
   Cmd.v
-    (Cmd.info "synth" ~doc:"Synthesize semantically equivalent programs.")
-    Term.(const run $ obs_t $ case $ engine $ xlen $ k $ n_max $ budget)
+    (info "synth" ~doc:"Synthesize semantically equivalent programs.")
+    Term.(const run $ Session.term $ case $ engine $ xlen $ k $ n_max $ budget)
 
 (* ---- sepe table ----------------------------------------------------------- *)
 
@@ -479,7 +199,7 @@ let table_cmd =
           ~doc:"Produce the table with HPF-CEGIS instead of the built-in one.")
   in
   let run obs cfg synthesize jobs stats =
-    with_obs obs @@ fun () ->
+    session ?jobs "table" obs @@ fun () ->
     let table =
       if synthesize then
         Pool.with_pool ?jobs (fun pool ->
@@ -500,8 +220,10 @@ let table_cmd =
     print_endline (Sqed_qed.Equiv_table.to_string table)
   in
   Cmd.v
-    (Cmd.info "table" ~doc:"Print the EDSEP-V equivalence table.")
-    Term.(const run $ obs_t $ config_arg $ synthesize $ jobs_arg $ stats_arg)
+    (info "table" ~doc:"Print the EDSEP-V equivalence table.")
+    Term.(
+      const run $ Session.term $ config_arg $ synthesize $ jobs_arg
+      $ stats_arg)
 
 (* ---- sepe verify ------------------------------------------------------------ *)
 
@@ -541,7 +263,7 @@ let verify_cmd =
   in
   let run obs cfg method_ bug bound budget quiet core do_shrink table_file
       stats =
-    with_obs obs @@ fun () ->
+    session "verify" obs @@ fun () ->
     let core =
       match core with
       | 3 -> Sqed_qed.Qed_top.Three_stage
@@ -604,9 +326,10 @@ let verify_cmd =
     | _ -> ()
   in
   Cmd.v
-    (Cmd.info "verify" ~doc:"Run SQED / SEPE-SQED bounded model checking.")
+    (info "verify" ~doc:"Run SQED / SEPE-SQED bounded model checking.")
     Term.(
-      const run $ obs_t $ config_arg $ method_ $ bug $ bound $ budget $ quiet
+      const run $ Session.term $ config_arg $ method_ $ bug $ bound $ budget
+      $ quiet
       $ core $ do_shrink $ table_file $ stats_arg)
 
 (* ---- sepe sweep ---------------------------------------------------------- *)
@@ -631,8 +354,7 @@ let sweep_cmd =
       value & opt float 600.0 & info [ "budget" ] ~doc:"Time budget per bug.")
   in
   let run obs cfg method_ set bound budget jobs stats =
-    ledger_jobs := jobs;
-    with_obs obs @@ fun () ->
+    campaign ?jobs "sweep" obs @@ fun () ->
     let method_ =
       match method_ with
       | "sqed" -> V.Sqed
@@ -723,7 +445,6 @@ let sweep_cmd =
     let summary = Verdict.count verdicts in
     if Verdict.degraded summary then
       Printf.printf "%s\n%!" (Verdict.summary_line summary);
-    note_summary summary;
     if stats then begin
       print_worker_stats workers;
       List.iter
@@ -733,15 +454,16 @@ let sweep_cmd =
               print_solver_stats r.V.stats
           | Verdict.Unknown _ | Verdict.Failed _ -> ())
         verdicts
-    end
+    end;
+    summary
   in
   Cmd.v
-    (Cmd.info "sweep" ~exits:degraded_exits
+    (info "sweep"
        ~doc:
          "Run BMC against every bug in the catalog, fanning the checks out \
           over parallel worker domains.")
     Term.(
-      const run $ obs_t $ config_arg $ method_ $ set $ bound $ budget
+      const run $ Session.term $ config_arg $ method_ $ set $ bound $ budget
       $ jobs_arg $ stats_arg)
 
 (* ---- sepe export --------------------------------------------------------- *)
@@ -768,7 +490,7 @@ let export_cmd =
       & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to a file (default: stdout).")
   in
   let run obs cfg format method_ bug out =
-    with_obs obs @@ fun () ->
+    session "export" obs @@ fun () ->
     let model =
       match method_ with
       | "sqed" -> Sqed_qed.Qed_top.eddi ?bug cfg
@@ -788,9 +510,9 @@ let export_cmd =
         Printf.printf "wrote %s (%d bytes)\n" path (String.length text)
   in
   Cmd.v
-    (Cmd.info "export"
+    (info "export"
        ~doc:"Export the QED verification model as BTOR2 or Verilog.")
-    Term.(const run $ obs_t $ config_arg $ format $ method_ $ bug $ out)
+    Term.(const run $ Session.term $ config_arg $ format $ method_ $ bug $ out)
 
 (* ---- sepe sim -------------------------------------------------------------- *)
 
@@ -806,7 +528,7 @@ let sim_cmd =
       & info [ "bug" ] ~docv:"BUG" ~doc:"Mutation to inject.")
   in
   let run obs cfg file bug =
-    with_obs obs @@ fun () ->
+    session "sim" obs @@ fun () ->
     let text = In_channel.with_open_text file In_channel.input_all in
     match Sqed_isa.Asm.parse_program text with
     | Error e ->
@@ -830,9 +552,9 @@ let sim_cmd =
         else print_endline "STATES DIVERGE."
   in
   Cmd.v
-    (Cmd.info "sim"
+    (info "sim"
        ~doc:"Run an assembly program on the pipeline and diff the golden model.")
-    Term.(const run $ obs_t $ config_arg $ file $ bug)
+    Term.(const run $ Session.term $ config_arg $ file $ bug)
 
 (* ---- sepe campaign ----------------------------------------------------------- *)
 
@@ -851,7 +573,7 @@ let campaign_cmd =
   let len = Arg.(value & opt int 4 & info [ "len" ] ~doc:"Instructions per program.") in
   let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"RNG seed.") in
   let run obs cfg method_ bug runs len seed =
-    with_obs obs @@ fun () ->
+    session "campaign" obs @@ fun () ->
     let scheme =
       match method_ with
       | "sqed" -> Sqed_qed.Partition.Eddi
@@ -875,9 +597,11 @@ let campaign_cmd =
       c.Sqed_qed.Qed_sim.total_cycles
   in
   Cmd.v
-    (Cmd.info "campaign"
+    (info "campaign"
        ~doc:"Concrete (non-symbolic) QED testing with random programs.")
-    Term.(const run $ obs_t $ config_arg $ method_ $ bug $ runs $ len $ seed)
+    Term.(
+      const run $ Session.term $ config_arg $ method_ $ bug $ runs $ len
+      $ seed)
 
 (* ---- sepe prove ----------------------------------------------------------- *)
 
@@ -897,7 +621,7 @@ let prove_cmd =
     Arg.(value & opt float 600.0 & info [ "budget" ] ~doc:"Time budget (seconds).")
   in
   let run obs cfg method_ bug max_k budget =
-    with_obs obs @@ fun () ->
+    session "prove" obs @@ fun () ->
     let model =
       match method_ with
       | "sqed" -> Sqed_qed.Qed_top.eddi ?bug cfg
@@ -928,9 +652,11 @@ let prove_cmd =
       stats.Sqed_bmc.Engine.solve_time stats.Sqed_bmc.Engine.bounds_checked
   in
   Cmd.v
-    (Cmd.info "prove"
+    (info "prove"
        ~doc:"Attempt an unbounded k-induction proof of the QED property.")
-    Term.(const run $ obs_t $ config_arg $ method_ $ bug $ max_k $ budget)
+    Term.(
+      const run $ Session.term $ config_arg $ method_ $ bug $ max_k
+      $ budget)
 
 (* ---- sepe solve ---------------------------------------------------------- *)
 
@@ -946,7 +672,7 @@ let solve_cmd =
       & info [ "max-conflicts" ] ~doc:"Conflict budget before giving up.")
   in
   let run obs file budget =
-    with_obs obs @@ fun () ->
+    session "solve" obs @@ fun () ->
     let text = In_channel.with_open_text file In_channel.input_all in
     if Filename.check_suffix file ".cnf" then
       match Sqed_sat.Dimacs.parse text with
@@ -985,15 +711,15 @@ let solve_cmd =
           | Sqed_smt.Solver.Unknown -> print_endline "unknown")
   in
   Cmd.v
-    (Cmd.info "solve"
+    (info "solve"
        ~doc:"Run the built-in solvers on an SMT-LIB (QF_BV) or DIMACS file.")
-    Term.(const run $ obs_t $ file $ budget)
+    Term.(const run $ Session.term $ file $ budget)
 
 (* ---- sepe doctor ----------------------------------------------------------- *)
 
 let doctor_cmd =
   let run obs () =
-    with_obs obs @@ fun () ->
+    session "doctor" obs @@ fun () ->
     let check name f =
       Printf.printf "%-52s %!" (name ^ " ...");
       match f () with
@@ -1045,9 +771,9 @@ let doctor_cmd =
     print_endline "all checks passed."
   in
   Cmd.v
-    (Cmd.info "doctor"
+    (info "doctor"
        ~doc:"Self-check the whole stack on the smallest configuration.")
-    Term.(const run $ obs_t $ const ())
+    Term.(const run $ Session.term $ const ())
 
 (* ---- sepe fig3 ------------------------------------------------------------ *)
 
@@ -1080,27 +806,24 @@ let fig3_cmd =
              numbers.")
   in
   let run obs fast no_witness jobs checkpoint =
-    ledger_fast := fast;
-    ledger_jobs := jobs;
-    with_obs obs @@ fun () ->
-    note_summary
-      (Sqed_exp.Fig3.run ~fast
-         ~jobs:(Option.value jobs ~default:0)
-         ~witness:(not no_witness) ?checkpoint ())
+    campaign ?jobs ~fast "fig3" obs @@ fun () ->
+    Sqed_exp.Fig3.run ~fast
+      ~jobs:(Option.value jobs ~default:0)
+      ~witness:(not no_witness) ?checkpoint ()
   in
   Cmd.v
-    (Cmd.info "fig3" ~exits:degraded_exits
+    (info "fig3"
        ~doc:
          "Run the paper's Fig. 3 synthesis experiment (plus a tiny BMC \
           witness), e.g. with --trace/--metrics to profile the whole \
           pipeline.")
-    Term.(const run $ obs_t $ fast $ no_witness $ jobs_arg $ checkpoint)
+    Term.(const run $ Session.term $ fast $ no_witness $ jobs_arg $ checkpoint)
 
 (* ---- sepe runs ------------------------------------------------------------ *)
 
 (* Browse and diff the persistent run ledger.  These commands are pure
    readers: they take their own --ledger argument (defaulting to the
-   committed baseline archive) instead of the shared obs flags, so
+   committed baseline archive) instead of the Session flags, so
    listing an archive never appends to it. *)
 
 let runs_ledger_arg =
@@ -1113,13 +836,6 @@ let runs_ledger_arg =
            $(b,sepe --ledger) / $(b,bench --ledger) (default: the committed \
            baseline ledger).")
 
-let load_ledger path =
-  let loaded = History.load path in
-  if loaded.History.dropped > 0 then
-    Printf.printf "note: dropped %d torn/invalid ledger line(s)\n"
-      loaded.History.dropped;
-  loaded.History.entries
-
 (* 1-based index into the ledger, counted from the oldest entry, as
    printed by `runs list`; 0 or negative counts from the newest. *)
 let nth_entry entries idx =
@@ -1129,14 +845,15 @@ let nth_entry entries idx =
 
 let runs_list_cmd =
   let run path =
-    match load_ledger path with
+    (match Session.load_ledger path with
     | [] -> Printf.printf "ledger %s is empty\n" path
     | entries ->
         Printf.printf "idx  recorded          kind  label              \
                        commit   wall\n";
         List.iteri
           (fun i e -> print_endline (History.summary_line (i + 1) e))
-          entries
+          entries);
+    0
   in
   Cmd.v
     (Cmd.info "list" ~doc:"List the archived runs, oldest first.")
@@ -1152,11 +869,13 @@ let runs_show_cmd =
              $(b,runs list)); 0 or negative counts back from the newest.")
   in
   let run path idx =
-    match nth_entry (load_ledger path) idx with
+    match nth_entry (Session.load_ledger path) idx with
     | None ->
         Printf.eprintf "no entry %d in %s\n" idx path;
         exit 1
-    | Some e -> print_endline (Json.to_string e)
+    | Some e ->
+        print_endline (Json.to_string e);
+        0
   in
   Cmd.v
     (Cmd.info "show"
@@ -1206,7 +925,7 @@ let runs_compare_cmd =
              metrics plus anything that left its band).")
   in
   let run path base_idx cur_idx against_history gate all =
-    let entries = load_ledger path in
+    let entries = Session.load_ledger path in
     if List.length entries < 2 then begin
       Printf.eprintf
         "ledger %s has %d entr%s; comparing needs at least 2\n" path
@@ -1214,58 +933,34 @@ let runs_compare_cmd =
         (if List.length entries = 1 then "y" else "ies");
       exit 1
     end;
-    let want e = match History.run_of e with Some r -> r | None -> Json.Null in
     match (nth_entry entries base_idx, nth_entry entries cur_idx) with
     | None, _ | _, None ->
         Printf.eprintf "entry index out of range for %s\n" path;
         exit 1
     | Some base_e, Some cur_e ->
-        let deltas =
-          if against_history then begin
-            let earlier =
-              (* Everything strictly before CURRENT, config-compatible. *)
-              let rec before acc = function
-                | [] -> List.rev acc
-                | e :: _ when e == cur_e -> List.rev acc
-                | e :: rest -> before (e :: acc) rest
-              in
-              before [] entries
-              |> List.filter (History.compatible cur_e)
-              |> List.filter_map History.run_of
+        let regs =
+          if against_history then
+            (* Everything strictly before CURRENT. *)
+            let rec before acc = function
+              | [] -> List.rev acc
+              | e :: _ when e == cur_e -> List.rev acc
+              | e :: rest -> before (e :: acc) rest
             in
-            Printf.printf
-              "checking entry vs the noise band of %d compatible earlier \
-               run(s)\n"
-              (List.length earlier);
-            Diff.compare_history ~history:earlier ~cur:(want cur_e) ()
-          end
+            Session.band_check ~all ~history:(before [] entries) cur_e
           else begin
             if not (History.compatible base_e cur_e) then
-              Printf.printf
-                "note: the two entries have different {jobs,fast,simplify,\
-                 aig,portfolio} configs; deltas may reflect config, not \
-                 code\n";
-            Diff.compare_runs ~base:(want base_e) ~cur:(want cur_e) ()
+              print_endline
+                (Session.config_note "the two entries have"
+                ^ "; deltas may reflect config, not code");
+            let want e = Option.value (History.run_of e) ~default:Json.Null in
+            Session.report_deltas ~all
+              (Diff.compare_runs ~base:(want base_e) ~cur:(want cur_e) ())
           end
         in
-        List.iter
-          (fun d ->
-            if
-              all
-              || Diff.gated d.Diff.dl_metric
-              || d.Diff.dl_verdict = Diff.Regressed
-              || d.Diff.dl_verdict = Diff.Improved
-            then print_endline (Diff.to_string d))
-          deltas;
-        let regs = Diff.regressions deltas in
-        if regs <> [] then begin
-          Printf.printf "%d gated metric(s) regressed\n" (List.length regs);
-          if gate then regression_exit := true
-        end
-        else Printf.printf "no gated regressions\n"
+        if gate && regs <> [] then 5 else 0
   in
   Cmd.v
-    (Cmd.info "compare" ~exits:degraded_exits
+    (info "compare"
        ~doc:
          "Diff two archived runs, or one run against the noise band of its \
           history.")
@@ -1291,24 +986,4 @@ let main =
       runs_cmd;
     ]
 
-let () =
-  let code =
-    match Cmd.eval main with
-    | 0 ->
-        (* Degraded campaign verdicts (3/4) outrank the sentinel: a run
-           that wasn't clean has no trustworthy perf numbers to gate. *)
-        if !degraded_exit > 0 then !degraded_exit
-        else if !regression_exit then 5
-        else 0
-    | n -> n
-  in
-  (* Degraded exit: close the flight recorder with the last warnings so
-     the reason is visible without re-running under --log. *)
-  if code = 3 || code = 4 then begin
-    let tail = Obs_log.tail ~min_level:Obs_log.Warn 10 in
-    if tail <> [] then begin
-      Printf.eprintf "last %d warning/error events:\n" (List.length tail);
-      Obs_log.dump_tail ~min_level:Obs_log.Warn 10 stderr
-    end
-  end;
-  exit code
+let () = exit (Cmd.eval' main)

@@ -1,9 +1,6 @@
-(* Append-only JSONL run ledger.
-
-   Same crash-safety contract as the resil checkpoint journal (one
-   flushed line per record, torn tail tolerated on load) but living in
-   lib/obs because the report renderer and the diff engine both read
-   it, and lib/resil already links against this library. *)
+(* Append-only JSONL run ledger on the Jsonl store shared with the resil
+   checkpoint journal.  It lives in lib/obs because the report renderer
+   and the diff engine both read it. *)
 
 let schema = "sepe.ledger/1"
 
@@ -57,63 +54,18 @@ let entry ~kind ~label ~provenance ~run =
 
 (* -- file ---------------------------------------------------------------- *)
 
-(* A crash can leave the file without a trailing newline (a torn last
-   line); appending straight after it would fuse the next record onto
-   the torn bytes and corrupt it too. *)
-let ends_with_newline path =
-  if not (Sys.file_exists path) then true
-  else begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        len = 0
-        ||
-        (seek_in ic (len - 1);
-         input_char ic = '\n'))
-  end
-
-let append path e =
-  let fresh_line = ends_with_newline path in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path
-  in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      if not fresh_line then output_char oc '\n';
-      output_string oc (Json.to_string e);
-      output_char oc '\n';
-      flush oc)
+let append = Jsonl.append
 
 type loaded = { entries : Json.t list; dropped : int }
 
 let load path =
-  if not (Sys.file_exists path) then { entries = []; dropped = 0 }
-  else begin
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let lines =
-      String.split_on_char '\n' text
-      |> List.filter (fun l -> String.trim l <> "")
-    in
-    let entries, dropped =
-      List.fold_left
-        (fun (acc, dropped) line ->
-          match Json.parse line with
-          | Ok (Json.Obj _ as j)
-            when Json.member "schema" j = Some (Json.String schema) ->
-              (j :: acc, dropped)
-          | Ok _ | Error _ -> (acc, dropped + 1))
-        ([], 0) lines
-    in
-    { entries = List.rev entries; dropped }
-  end
+  let lines, torn = Jsonl.load path in
+  let entries =
+    List.filter
+      (fun j -> Json.member "schema" j = Some (Json.String schema))
+      lines
+  in
+  { entries; dropped = torn + List.length lines - List.length entries }
 
 (* -- accessors ----------------------------------------------------------- *)
 

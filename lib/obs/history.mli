@@ -6,10 +6,10 @@
     payload — a [run.json] flight-recorder snapshot or a bench summary —
     together with environment {!provenance}: git commit and dirty flag,
     hostname, core count, OCaml version and the solver configuration in
-    force.  Appends are a single buffered write followed by a flush (the
-    same discipline as the [lib/resil] checkpoint journal), so a crash
-    can lose at most the line being written; {!load} silently drops a
-    torn trailing line and counts it, which keeps a ledger shared by
+    force.  The file is a {!Jsonl} store, like the [lib/resil]
+    checkpoint journal: an append is one flushed line, so a crash can
+    lose at most the line being written; {!load} silently drops a torn
+    trailing line and counts it, which keeps a ledger shared by
     interrupted runs safe to keep appending to.
 
     The ledger is the substrate for the differential engine ({!Diff})
@@ -39,12 +39,6 @@ val entry :
     The entry is stamped with the current wall-clock time. *)
 
 (** {1 The file} *)
-
-val ends_with_newline : string -> bool
-(** Whether the file at the path is missing, empty or ends in a newline.
-    A [false] answer means a torn last line: an appender must start a
-    fresh line first, or its record would fuse onto the torn bytes.
-    Shared with the checkpoint journal ([Sqed_resil.Journal]). *)
 
 val append : string -> Json.t -> unit
 (** [append path e] appends [e] as one line to [path] (creating it if

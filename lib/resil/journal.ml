@@ -1,6 +1,7 @@
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
 module Log = Sqed_obs.Log
+module Jsonl = Sqed_obs.Jsonl
 
 let m_records = Metrics.counter "resil.checkpoint.records"
 let m_resumed = Metrics.counter "resil.checkpoint.resumed"
@@ -8,95 +9,48 @@ let m_torn = Metrics.counter "resil.checkpoint.torn_lines"
 let m_errors = Metrics.counter "resil.checkpoint.errors"
 
 type t = {
-  oc : out_channel;
+  w : Jsonl.writer;
   table : (string, Json.t) Hashtbl.t;
   mutex : Mutex.t;
 }
 
-let parse_line line =
-  match Json.parse line with
-  | Ok j -> (
-      match (Json.member "key" j, Json.member "result" j) with
-      | Some (Json.String k), Some r -> Some (k, r)
-      | _ -> None)
-  | Error _ -> None
-
-let load_existing table path =
-  let resumed = ref 0 and torn = ref 0 in
-  if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        try
-          while true do
-            let line = input_line ic in
-            if String.trim line <> "" then
-              match parse_line line with
-              | Some (k, r) ->
-                  Hashtbl.replace table k r;
-                  incr resumed;
-                  Metrics.add_always m_resumed 1
-              | None ->
-                  (* Torn or corrupt line — a crash mid-append.  Only
-                     the trailing line can legitimately be torn, but we
-                     tolerate (and count) any bad line rather than
-                     refuse to resume. *)
-                  incr torn;
-                  Metrics.add_always m_torn 1
-          done
-        with End_of_file -> ())
-  end;
-  (!resumed, !torn)
-
 let open_ path =
+  let lines, torn = Jsonl.load path in
   let table = Hashtbl.create 64 in
-  let resumed, torn = load_existing table path in
+  (* A line that is not a {key, result} record counts as torn too.  Only
+     the trailing line can legitimately be torn (a crash mid-append), but
+     we tolerate (and count) any bad line rather than refuse to resume. *)
+  let resumed, torn =
+    List.fold_left
+      (fun (resumed, torn) j ->
+        match (Json.member "key" j, Json.member "result" j) with
+        | Some (Json.String k), Some r ->
+            Hashtbl.replace table k r;
+            (resumed + 1, torn)
+        | _ -> (resumed, torn + 1))
+      (0, torn) lines
+  in
+  Metrics.add_always m_resumed resumed;
+  Metrics.add_always m_torn torn;
   if torn > 0 then
     Log.warn "resil.checkpoint.torn"
       [ ("path", Log.Str path); ("lines", Log.I torn) ];
   if resumed > 0 then
     Log.info "resil.checkpoint.resumed"
       [ ("path", Log.Str path); ("entries", Log.I resumed) ];
-  (* After a torn last line, start a fresh one so the next record does
-     not fuse onto the torn bytes. *)
-  let fresh_line = Sqed_obs.History.ends_with_newline path in
-  let oc =
-    open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 path
-  in
-  if not fresh_line then begin
-    output_char oc '\n';
-    flush oc
-  end;
-  { oc; table; mutex = Mutex.create () }
+  { w = Jsonl.open_writer path; table; mutex = Mutex.create () }
 
-let mem t key =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.mem t.table key in
-  Mutex.unlock t.mutex;
-  r
-
+let mem t key = Mutex.protect t.mutex (fun () -> Hashtbl.mem t.table key)
 let find t key =
-  Mutex.lock t.mutex;
-  let r = Hashtbl.find_opt t.table key in
-  Mutex.unlock t.mutex;
-  r
+  Mutex.protect t.mutex (fun () -> Hashtbl.find_opt t.table key)
 
 let record t key result =
   (* Fault site first: an injected append failure must leave the
      in-memory table unchanged, like a real write error would. *)
   Fault.check "checkpoint.write";
-  let line =
-    Json.to_string (Json.Obj [ ("key", Json.String key); ("result", result) ])
-  in
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () ->
-      (* One write + flush per line: with O_APPEND a line this short is
-         atomic in practice, and flushing bounds loss to the last line. *)
-      output_string t.oc (line ^ "\n");
-      flush t.oc;
+  Mutex.protect t.mutex (fun () ->
+      Jsonl.write t.w
+        (Json.Obj [ ("key", Json.String key); ("result", result) ]);
       Hashtbl.replace t.table key result;
       Metrics.add_always m_records 1)
 
@@ -109,13 +63,5 @@ let try_record t key result =
         [ ("key", Log.Str key); ("error", Log.Str (Printexc.to_string e)) ];
       Error (Printexc.to_string e)
 
-let entries t =
-  Mutex.lock t.mutex;
-  let n = Hashtbl.length t.table in
-  Mutex.unlock t.mutex;
-  n
-
-let close t =
-  Mutex.lock t.mutex;
-  close_out_noerr t.oc;
-  Mutex.unlock t.mutex
+let entries t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)
+let close t = Mutex.protect t.mutex (fun () -> Jsonl.close t.w)

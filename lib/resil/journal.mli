@@ -1,9 +1,10 @@
 (** Crash-safe append-only checkpoint journal.
 
-    One JSON object per line: [{"key": <string>, "result": <json>}].
-    Appends are a single buffered write followed by a flush, so a crash
-    can lose at most the line being written; {!load} silently discards
-    a torn trailing line, which makes resume after [kill -9] safe.
+    One JSON object per line: [{"key": <string>, "result": <json>}],
+    stored as a {!Sqed_obs.Jsonl} file like the run ledger.  An append
+    is a single buffered write followed by a flush, so a crash can lose
+    at most the line being written; {!open_} drops and counts a torn
+    trailing line, which makes resume after [kill -9] safe.
 
     A journal is mutex-protected — worker-pool tasks may {!record}
     concurrently.  Keys are free-form; campaigns use stable per-case
