@@ -34,10 +34,9 @@ module Pool = Sqed_par.Pool
 module Metrics = Sqed_obs.Metrics
 module Span = Sqed_obs.Trace
 
-module Journal = Sqed_resil.Journal
+module Campaign = Sqed_par.Campaign
 module Verdict = Sqed_resil.Verdict
 module Sampler = Sqed_obs.Sampler
-module Progress = Sqed_obs.Progress
 module Solver = Sqed_smt.Solver
 module Json = Sqed_obs.Json
 module Session = Sqed_exp.Session
@@ -259,72 +258,29 @@ let table1 () =
     if !fast then [ Bug.Bug_add; Bug.Bug_xor; Bug.Bug_sw ]
     else Bug.all_single
   in
-  (* Supervised fan-out with checkpoint/resume, like fig3: journaled rows
-     are reprinted verbatim, a failed bug degrades to one marked row. *)
-  let key bug = "table1/" ^ Bug.name bug in
-  let journal = Option.map Journal.open_ !checkpoint in
-  let resumed_rows =
-    match journal with
-    | None -> []
-    | Some j ->
-        List.filter_map
-          (fun bug ->
-            Option.map
-              (fun row -> (bug, row))
-              (Option.bind (Journal.find j (key bug)) Json.to_string_opt))
-          bugs
-  in
-  if resumed_rows <> [] then
-    Printf.printf "checkpoint: resuming, %d of %d rows already journaled\n%!"
-      (List.length resumed_rows) (List.length bugs);
-  let to_run =
-    List.filter (fun bug -> not (List.mem_assoc bug resumed_rows)) bugs
-  in
-  let run_bug bug =
-    let row = run_bug bug in
-    (match journal with
-    | Some j -> (
-        match Journal.try_record j (key bug) (Json.String row) with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.printf "checkpoint: write failed for %s (%s); continuing\n%!"
-              (key bug) msg)
-    | None -> ());
-    row
-  in
-  let outcomes =
-    Progress.with_campaign ~task_budget:budget ~jobs:(jobs_used ())
-      ~total:(List.length to_run) "table1" (fun () ->
-        Pool.with_pool ~jobs:(jobs_used ()) (fun p ->
-            Pool.map_result p run_bug to_run))
-  in
-  let computed = List.combine to_run outcomes in
-  let verdicts =
-    List.filter_map
-      (fun bug ->
-        match List.assoc_opt bug computed with
-        | None ->
-            Printf.printf "%s\n" (List.assoc bug resumed_rows);
-            None
-        | Some (Ok row) ->
-            Printf.printf "%s\n" row;
-            Some (Verdict.Ok ())
-        | Some (Error (e : Pool.task_error)) ->
-            let msg =
-              Printf.sprintf "%s (attempts: %d)" e.Pool.error e.Pool.attempts
-            in
-            Printf.printf "%-6s | %-42s | %s\n"
-              (match Bug.table1_row bug with Some r -> r | None -> "?")
-              (Bug.describe bug)
-              ((if e.Pool.exhausted then "UNKNOWN: " else "FAILED: ") ^ msg);
-            Some (if e.Pool.exhausted then Verdict.Unknown msg
-                  else Verdict.Failed msg))
+  (* Supervised fan-out with checkpoint/resume, like fig3: a journaled row
+     is reprinted verbatim, a failed bug prints one FAILED line and no
+     row. *)
+  let verdicts, summary =
+    Campaign.run ~jobs:(jobs_used ()) ~task_budget:budget
+      ?checkpoint:
+        (Option.map
+           (fun path ->
+             ( path,
+               {
+                 Campaign.encode = (fun row -> Json.String row);
+                 decode = Json.to_string_opt;
+               } ))
+           !checkpoint)
+      ~detail:Fun.id
+      ~key:(fun bug -> "table1/" ^ Bug.name bug)
+      "table1"
+      (fun bug -> Verdict.Ok (run_bug bug))
       bugs
   in
-  Option.iter Journal.close journal;
-  let summary = Verdict.count ~skipped:(List.length resumed_rows) verdicts in
-  if Verdict.degraded summary || summary.Verdict.skipped > 0 then
-    Printf.printf "%s\n%!" (Verdict.summary_line summary);
+  List.iter
+    (function Verdict.Ok row -> print_endline row | _ -> ())
+    verdicts;
   note_summary summary
 
 (* ------------------------------------------------------------------ *)
@@ -703,8 +659,6 @@ let main session names fast' jobs' json checkpoint' handicap' =
         (jobs_used ());
       List.iter (fun n -> timed n (List.assoc n all)) names;
       write_json json (Lazy.force payload);
-      if Verdict.degraded !campaign then
-        Printf.printf "%s\n%!" (Verdict.summary_line !campaign);
       !campaign)
 
 let () =

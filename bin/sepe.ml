@@ -9,8 +9,7 @@ module V = Sepe_sqed.Verifier
 module Flow = Sepe_sqed.Flow
 module Synth = Sqed_synth
 module Pool = Sqed_par.Pool
-module Progress = Sqed_obs.Progress
-module Report = Sqed_obs.Report
+module Campaign = Sqed_par.Campaign
 module History = Sqed_obs.History
 module Diff = Sqed_obs.Diff
 module Json = Sqed_obs.Json
@@ -102,6 +101,20 @@ let bug_conv =
         | Some b -> Ok b
         | None -> Error (`Msg ("unknown bug " ^ s ^ " (see `sepe bugs`)"))),
       fun fmt b -> Format.pp_print_string fmt (Bug.name b) )
+
+(* The one --method converter: an unknown value is a usage error. *)
+let method_arg ~default doc =
+  Arg.(
+    value
+    & opt
+        (enum [ ("sepe", V.Sepe_sqed); ("sepe-sqed", V.Sepe_sqed); ("sqed", V.Sqed) ])
+        default
+    & info [ "m"; "method" ] ~docv:"METHOD" ~doc)
+
+let qed_model ?bug ?core ?table method_ cfg =
+  match method_ with
+  | V.Sqed -> Sqed_qed.Qed_top.eddi ?bug ?core cfg
+  | V.Sepe_sqed -> Sqed_qed.Qed_top.edsep ?bug ?core ?table cfg
 
 (* ---- sepe bugs ---------------------------------------------------------- *)
 
@@ -199,11 +212,11 @@ let table_cmd =
           ~doc:"Produce the table with HPF-CEGIS instead of the built-in one.")
   in
   let run obs cfg synthesize jobs stats =
-    session ?jobs "table" obs @@ fun () ->
-    let table =
+    campaign ?jobs "table" obs @@ fun () ->
+    let table, summary =
       if synthesize then
         Pool.with_pool ?jobs (fun pool ->
-            let table, cases = Flow.synthesize_table ~pool cfg in
+            let table, cases, summary = Flow.synthesize_table ~pool cfg in
             List.iter
               (fun c ->
                 Printf.printf "# %s: %d programs, %.1fs%s\n" c.Flow.case
@@ -214,10 +227,11 @@ let table_cmd =
                   | None -> " (fallback to builtin)"))
               cases;
             if stats then print_worker_stats (Pool.stats pool);
-            table)
-      else Flow.builtin_table cfg
+            (table, summary))
+      else (Flow.builtin_table cfg, Verdict.empty)
     in
-    print_endline (Sqed_qed.Equiv_table.to_string table)
+    print_endline (Sqed_qed.Equiv_table.to_string table);
+    summary
   in
   Cmd.v
     (info "table" ~doc:"Print the EDSEP-V equivalence table.")
@@ -229,9 +243,7 @@ let table_cmd =
 
 let verify_cmd =
   let method_ =
-    Arg.(
-      value & opt string "sepe"
-      & info [ "m"; "method" ] ~doc:"Verification method: sepe or sqed.")
+    method_arg ~default:V.Sepe_sqed "Verification method: sepe or sqed."
   in
   let bug =
     Arg.(
@@ -245,7 +257,14 @@ let verify_cmd =
   let quiet = Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No trace output.") in
   let core =
     Arg.(
-      value & opt int 5
+      value
+      & opt
+          (enum
+             [
+               ("5", Sqed_qed.Qed_top.Five_stage);
+               ("3", Sqed_qed.Qed_top.Three_stage);
+             ])
+          Sqed_qed.Qed_top.Five_stage
       & info [ "core" ] ~docv:"STAGES"
           ~doc:"DUV variant: 5 (default) or 3 pipeline stages.")
   in
@@ -264,17 +283,6 @@ let verify_cmd =
   let run obs cfg method_ bug bound budget quiet core do_shrink table_file
       stats =
     session "verify" obs @@ fun () ->
-    let core =
-      match core with
-      | 3 -> Sqed_qed.Qed_top.Three_stage
-      | _ -> Sqed_qed.Qed_top.Five_stage
-    in
-    let method_ =
-      match method_ with
-      | "sqed" -> V.Sqed
-      | "sepe" | "sepe-sqed" -> V.Sepe_sqed
-      | other -> failwith ("unknown method " ^ other)
-    in
     let cfg =
       match bug with
       | Some b when Bug.needs_m b && not cfg.Config.ext_m ->
@@ -307,12 +315,9 @@ let verify_cmd =
     | Some t when not quiet ->
         let t =
           if do_shrink then begin
-            let model =
-              match method_ with
-              | V.Sqed -> Sqed_qed.Qed_top.eddi ?bug ~core cfg
-              | V.Sepe_sqed -> Sqed_qed.Qed_top.edsep ?bug ~core ?table cfg
+            let s =
+              Sqed_bmc.Engine.shrink (qed_model ?bug ~core ?table method_ cfg) t
             in
-            let s = Sqed_bmc.Engine.shrink model t in
             Printf.printf "shrunk: %d -> %d cycles, %d -> %d instructions\n"
               t.Sqed_bmc.Trace.length s.Sqed_bmc.Trace.length
               t.Sqed_bmc.Trace.instructions s.Sqed_bmc.Trace.instructions;
@@ -336,13 +341,19 @@ let verify_cmd =
 
 let sweep_cmd =
   let method_ =
-    Arg.(
-      value & opt string "sepe"
-      & info [ "m"; "method" ] ~doc:"Verification method: sepe or sqed.")
+    method_arg ~default:V.Sepe_sqed "Verification method: sepe or sqed."
   in
   let set =
     Arg.(
-      value & opt string "single"
+      value
+      & opt
+          (enum
+             [
+               ("single", Bug.all_single);
+               ("multi", Bug.all_multi);
+               ("all", Bug.all_single @ Bug.all_multi);
+             ])
+          Bug.all_single
       & info [ "set" ] ~docv:"SET"
           ~doc:"Bug catalog to sweep: single, multi or all.")
   in
@@ -353,107 +364,58 @@ let sweep_cmd =
     Arg.(
       value & opt float 600.0 & info [ "budget" ] ~doc:"Time budget per bug.")
   in
-  let run obs cfg method_ set bound budget jobs stats =
+  let run obs cfg method_ bugs bound budget jobs stats =
     campaign ?jobs "sweep" obs @@ fun () ->
-    let method_ =
-      match method_ with
-      | "sqed" -> V.Sqed
-      | "sepe" | "sepe-sqed" -> V.Sepe_sqed
-      | other -> failwith ("unknown method " ^ other)
-    in
-    let bugs =
-      match set with
-      | "multi" -> Bug.all_multi
-      | "all" -> Bug.all_single @ Bug.all_multi
-      | _ -> Bug.all_single
-    in
-    (* One pool task per injected bug; each worker domain owns its solver
-       and term universe, so checks share nothing and rows come back in
-       catalog order regardless of the jobs count. *)
+    (* One campaign task per injected bug; each worker domain owns its
+       solver and term universe, so checks share nothing and rows come
+       back in catalog order regardless of the jobs count.  A check that
+       gives up is Unknown, one that crashes Failed: either prints one
+       line and exits nonzero instead of killing the sweep. *)
     let check bug =
       let cfg =
         if Bug.needs_m bug && not cfg.Config.ext_m then
           { cfg with Config.ext_m = true }
         else cfg
       in
-      (bug, V.run ~bug ~method_ ~bound ~time_budget:budget cfg)
+      let r = V.run ~bug ~method_ ~bound ~time_budget:budget cfg in
+      match r.V.outcome with
+      | Sqed_bmc.Engine.Gave_up _ -> Verdict.Unknown (V.outcome_to_string r)
+      | _ -> Verdict.Ok r
     in
-    (* Supervised fan-out: a crashed or budget-exhausted check degrades
-       to one marked row and a nonzero exit, not a dead sweep. *)
-    let outcomes, workers =
-      Progress.with_campaign ~task_budget:budget
-        ?jobs ~total:(List.length bugs) "sweep" (fun () ->
-          Pool.with_pool ?jobs (fun pool ->
-              let rs = Pool.map_result pool check bugs in
-              (rs, Pool.stats pool)))
-    in
-    let detected = ref 0 in
-    let verdicts =
-      List.map2
-        (fun bug outcome ->
-          let note status detail dur =
-            Report.note_case
-              {
-                Report.rc_key = "sweep/" ^ Bug.name bug;
-                rc_status = status;
-                rc_detail = detail;
-                rc_dur = dur;
-              }
+    let (verdicts, summary), workers =
+      Pool.with_pool ?jobs (fun pool ->
+          let vs =
+            Campaign.run ~pool ~task_budget:budget ~detail:V.outcome_to_string
+              ~key:(fun bug -> "sweep/" ^ Bug.name bug)
+              "sweep" check bugs
           in
-          match outcome with
-          | Ok ((_, r) as row) ->
-              if V.detected r then incr detected;
-              Printf.printf "%-18s %-24s %8.2fs  %d conflicts\n" (Bug.name bug)
-                (V.outcome_to_string r)
-                r.V.stats.Sqed_bmc.Engine.solve_time
-                r.V.stats.Sqed_bmc.Engine.sat_conflicts;
-              (match r.V.outcome with
-              | Sqed_bmc.Engine.Gave_up k ->
-                  let why =
-                    match r.V.stats.Sqed_bmc.Engine.gave_up with
-                    | Some reason ->
-                        ", " ^ Sqed_resil.Budget.string_of_reason reason
-                    | None -> ""
-                  in
-                  let msg = Printf.sprintf "gave up at depth %d%s" k why in
-                  note Report.Unknown msg r.V.stats.Sqed_bmc.Engine.solve_time;
-                  Verdict.Unknown msg
-              | _ ->
-                  note Report.Ok (V.outcome_to_string r)
-                    r.V.stats.Sqed_bmc.Engine.solve_time;
-                  Verdict.Ok row)
-          | Error (e : Pool.task_error) ->
-              let msg =
-                Printf.sprintf "%s (attempts: %d)" e.Pool.error e.Pool.attempts
-              in
-              Printf.printf "%-18s %s\n" (Bug.name bug)
-                ((if e.Pool.exhausted then "UNKNOWN: " else "FAILED: ") ^ msg);
-              if e.Pool.exhausted then begin
-                note Report.Unknown msg 0.0;
-                Verdict.Unknown msg
-              end
-              else begin
-                note Report.Failed msg 0.0;
-                Verdict.Failed msg
-              end)
-        bugs outcomes
+          (vs, Pool.stats pool))
     in
-    Printf.printf "detected %d/%d bugs (%s, bound %d)\n" !detected
+    let rows =
+      List.filter_map
+        (fun (bug, v) ->
+          match v with Verdict.Ok r -> Some (bug, r) | _ -> None)
+        (List.combine bugs verdicts)
+    in
+    List.iter
+      (fun (bug, r) ->
+        Printf.printf "%-18s %-24s %8.2fs  %d conflicts\n" (Bug.name bug)
+          (V.outcome_to_string r)
+          r.V.stats.Sqed_bmc.Engine.solve_time
+          r.V.stats.Sqed_bmc.Engine.sat_conflicts)
+      rows;
+    Printf.printf "detected %d/%d bugs (%s, bound %d)\n"
+      (List.length (List.filter (fun (_, r) -> V.detected r) rows))
       (List.length bugs)
       (V.method_name method_)
       bound;
-    let summary = Verdict.count verdicts in
-    if Verdict.degraded summary then
-      Printf.printf "%s\n%!" (Verdict.summary_line summary);
     if stats then begin
       print_worker_stats workers;
       List.iter
-        (function
-          | Verdict.Ok (bug, r) ->
-              Printf.printf "-- %s\n" (Bug.name bug);
-              print_solver_stats r.V.stats
-          | Verdict.Unknown _ | Verdict.Failed _ -> ())
-        verdicts
+        (fun (bug, r) ->
+          Printf.printf "-- %s\n" (Bug.name bug);
+          print_solver_stats r.V.stats)
+        rows
     end;
     summary
   in
@@ -474,11 +436,7 @@ let export_cmd =
       value & opt string "btor2"
       & info [ "f"; "format" ] ~doc:"Output format: btor2 or verilog.")
   in
-  let method_ =
-    Arg.(
-      value & opt string "sepe"
-      & info [ "m"; "method" ] ~doc:"QED model: sepe or sqed.")
-  in
+  let method_ = method_arg ~default:V.Sepe_sqed "QED model: sepe or sqed." in
   let bug =
     Arg.(
       value & opt (some bug_conv) None
@@ -491,11 +449,7 @@ let export_cmd =
   in
   let run obs cfg format method_ bug out =
     session "export" obs @@ fun () ->
-    let model =
-      match method_ with
-      | "sqed" -> Sqed_qed.Qed_top.eddi ?bug cfg
-      | _ -> Sqed_qed.Qed_top.edsep ?bug cfg
-    in
+    let model = qed_model ?bug method_ cfg in
     let text =
       match format with
       | "verilog" -> Sqed_rtl.Verilog.to_string model.Sqed_qed.Qed_top.circuit
@@ -559,11 +513,7 @@ let sim_cmd =
 (* ---- sepe campaign ----------------------------------------------------------- *)
 
 let campaign_cmd =
-  let method_ =
-    Arg.(
-      value & opt string "sepe"
-      & info [ "m"; "method" ] ~doc:"QED scheme: sepe or sqed.")
-  in
+  let method_ = method_arg ~default:V.Sepe_sqed "QED scheme: sepe or sqed." in
   let bug =
     Arg.(
       value & opt (some bug_conv) None
@@ -576,8 +526,8 @@ let campaign_cmd =
     session "campaign" obs @@ fun () ->
     let scheme =
       match method_ with
-      | "sqed" -> Sqed_qed.Partition.Eddi
-      | _ -> Sqed_qed.Partition.Edsep
+      | V.Sqed -> Sqed_qed.Partition.Eddi
+      | V.Sepe_sqed -> Sqed_qed.Partition.Edsep
     in
     let c =
       Sqed_qed.Qed_sim.campaign ?bug ~scheme ~seed ~runs ~program_length:len
@@ -606,11 +556,7 @@ let campaign_cmd =
 (* ---- sepe prove ----------------------------------------------------------- *)
 
 let prove_cmd =
-  let method_ =
-    Arg.(
-      value & opt string "sqed"
-      & info [ "m"; "method" ] ~doc:"QED model: sepe or sqed.")
-  in
+  let method_ = method_arg ~default:V.Sqed "QED model: sepe or sqed." in
   let bug =
     Arg.(
       value & opt (some bug_conv) None
@@ -622,11 +568,7 @@ let prove_cmd =
   in
   let run obs cfg method_ bug max_k budget =
     session "prove" obs @@ fun () ->
-    let model =
-      match method_ with
-      | "sqed" -> Sqed_qed.Qed_top.eddi ?bug cfg
-      | _ -> Sqed_qed.Qed_top.edsep ?bug cfg
-    in
+    let model = qed_model ?bug method_ cfg in
     let outcome, stats =
       Sqed_bmc.Engine.prove ~max_k ~time_budget:budget model
     in

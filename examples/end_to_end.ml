@@ -29,7 +29,7 @@ let () =
       time_budget = Some 120.0;
     }
   in
-  let table, cases =
+  let table, cases, _ =
     Flow.synthesize_table ~options ~cases:[ "ADD"; "XOR" ] cfg
   in
   List.iter

@@ -67,16 +67,23 @@ let synthesize_table ?options ?cases ?jobs ?pool cfg =
   in
   let partition = Qed.Partition.make Qed.Partition.Edsep cfg in
   (* One synthesis task per original instruction; each worker domain owns
-     its solvers and term universe, results return in case order.  A
-     case whose task failed (crash survived retries, budget exhausted)
-     degrades to its built-in template instead of killing the campaign:
-     it contributes no programs, so [chosen = None] below selects the
-     fallback entry. *)
+     its solvers and term universe.  A case whose task failed degrades to
+     its built-in template: it contributes no programs, so [chosen = None]
+     below selects the fallback entry. *)
+  let verdicts, summary =
+    Sqed_par.Campaign.run ?pool ?jobs
+      ~key:(fun case -> "synth/" ^ case)
+      "synth"
+      (fun case ->
+        Sqed_resil.Verdict.Ok
+          (Synth.Hpf.synthesize ~options ~spec:(Synth.Library_.spec case)
+             ~library:Synth.Library_.default ()))
+      cases
+  in
   let results =
-    List.map
-      (fun (v : Synth.Campaign.case_verdict) ->
-        let case = v.Synth.Campaign.vcase in
-        match v.Synth.Campaign.verdict with
+    List.map2
+      (fun case v ->
+        match v with
         | Sqed_resil.Verdict.Ok result ->
             let programs = result.Synth.Engine.programs in
             {
@@ -87,8 +94,7 @@ let synthesize_table ?options ?cases ?jobs ?pool cfg =
             }
         | Sqed_resil.Verdict.Unknown _ | Sqed_resil.Verdict.Failed _ ->
             { case; programs = []; chosen = None; elapsed = 0.0 })
-      (Synth.Campaign.synthesize_verdicts ?jobs ?pool ~options
-         ~library:Synth.Library_.default cases)
+      cases verdicts
   in
   let entries =
     List.filter_map
@@ -107,4 +113,4 @@ let synthesize_table ?options ?cases ?jobs ?pool cfg =
   (match Qed.Equiv_table.validate ~cfg ~partition table with
   | Ok () -> ()
   | Error e -> failwith ("Flow.synthesize_table: invalid table: " ^ e));
-  (table, results)
+  (table, results, summary)

@@ -19,7 +19,7 @@ val synthesize_table :
   ?jobs:int ->
   ?pool:Sqed_par.Pool.t ->
   Config.t ->
-  Sqed_qed.Equiv_table.t * synthesized_case list
+  Sqed_qed.Equiv_table.t * synthesized_case list * Sqed_resil.Verdict.summary
 (** Run HPF-CEGIS per case at the configuration's XLEN and fold the
     results into an equivalence table (classes without a usable
     synthesized program keep their built-in template).  [?jobs] fans the
@@ -28,9 +28,9 @@ val synthesize_table :
     [?pool] reuses a caller-owned pool instead (useful to read
     {!Sqed_par.Pool.stats} afterwards).
 
-    The fan-out is supervised ({!Sqed_synth.Campaign.synthesize_verdicts}):
-    a case whose synthesis task crashes or exhausts its budget degrades
-    to its built-in template ([chosen = None], no programs) rather than
-    aborting the whole table. *)
+    The fan-out is a {!Sqed_par.Campaign} keyed [synth/<case>]: a case
+    whose synthesis task crashes or exhausts its budget degrades to its
+    built-in template ([chosen = None], no programs) rather than
+    aborting the whole table, and counts in the returned summary. *)
 
 val builtin_table : Config.t -> Sqed_qed.Equiv_table.t

@@ -7,9 +7,9 @@
    contains bmc.depth spans; the bench harness keeps it off to preserve
    the historical fig3 workload.
 
-   The fan-out is supervised: each (case, engine, seed) cell reports a
-   verdict, a crashing cell degrades to a FAILED row instead of killing
-   the campaign, and `?checkpoint` journals completed cells so an
+   Each (case, engine, seed) cell is one task of a supervised
+   Sqed_par.Campaign: a crashing cell degrades to a FAILED line instead of
+   killing the campaign, and `?checkpoint` journals completed cells so an
    interrupted run can resume skipping them. *)
 
 module Config = Sqed_proc.Config
@@ -19,10 +19,7 @@ module Synth = Sqed_synth
 module Pool = Sqed_par.Pool
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
-module Log = Sqed_obs.Log
-module Progress = Sqed_obs.Progress
-module Report = Sqed_obs.Report
-module Journal = Sqed_resil.Journal
+module Campaign = Sqed_par.Campaign
 module Verdict = Sqed_resil.Verdict
 
 let line = String.make 72 '-'
@@ -34,23 +31,28 @@ let engine_name = function `Hpf -> "hpf" | `Iter -> "iter"
 let cell_key (case, engine, seed) =
   Printf.sprintf "fig3/%s/%s/%d" case (engine_name engine) seed
 
-let cell_to_json (_, _, _, elapsed, tried, total) =
-  Json.Obj
-    [
-      ("elapsed", Json.Float elapsed);
-      ("tried", Json.Int tried);
-      ("total", Json.Int total);
-    ]
-
-let cell_of_json (case, engine, seed) j =
-  match
-    ( Option.bind (Json.member "elapsed" j) Json.to_float_opt,
-      Option.bind (Json.member "tried" j) Json.to_int_opt,
-      Option.bind (Json.member "total" j) Json.to_int_opt )
-  with
-  | Some elapsed, Some tried, Some total ->
-      Some (case, engine, seed, elapsed, tried, total)
-  | _ -> None
+(* A cell's journal record: [elapsed] seconds and the HPF multiset
+   counters ([tried]/[total], 0 for iterative CEGIS). *)
+let codec =
+  {
+    Campaign.encode =
+      (fun (elapsed, tried, total) ->
+        Json.Obj
+          [
+            ("elapsed", Json.Float elapsed);
+            ("tried", Json.Int tried);
+            ("total", Json.Int total);
+          ]);
+    decode =
+      (fun j ->
+        match
+          ( Option.bind (Json.member "elapsed" j) Json.to_float_opt,
+            Option.bind (Json.member "tried" j) Json.to_int_opt,
+            Option.bind (Json.member "total" j) Json.to_int_opt )
+        with
+        | Some elapsed, Some tried, Some total -> Some (elapsed, tried, total)
+        | _ -> None);
+  }
 
 let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
     ?seeds ?k ?time_budget () =
@@ -100,132 +102,39 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
           seeds)
       cases
   in
-  (* Checkpoint/resume: journaled cells are skipped, their stored numbers
-     enter the table as if just computed. *)
-  let journal = Option.map Journal.open_ checkpoint in
-  let resumed, to_run =
-    match journal with
-    | None -> ([], tasks)
-    | Some j ->
-        List.partition_map
-          (fun task ->
-            match Option.bind (Journal.find j (cell_key task)) (cell_of_json task) with
-            | Some cell -> Either.Left cell
-            | None -> Either.Right task)
-          tasks
-  in
-  if resumed <> [] then
-    Printf.printf "checkpoint: resuming, %d of %d cells already journaled\n%!"
-      (List.length resumed) (List.length tasks);
-  Log.info "fig3.start"
-    [
-      ("cases", Log.I (List.length cases));
-      ("cells", Log.I (List.length tasks));
-      ("resumed", Log.I (List.length resumed));
-      ("jobs", Log.I jobs);
-      ("budget_s", Log.F budget);
-    ];
-  List.iter
-    (fun cell ->
-      let case, engine, seed, _, _, _ = cell in
-      Report.note_case
-        {
-          Report.rc_key = cell_key (case, engine, seed);
-          rc_status = Report.Skipped;
-          rc_detail = "resumed from checkpoint";
-          rc_dur = 0.0;
-        })
-    resumed;
-  let run_cell ((case, engine, seed) as task) =
+  let run_cell (case, engine, seed) =
     let spec = Synth.Library_.spec case in
     let options = mk_options seed in
-    let cell =
-      match engine with
-      | `Hpf ->
-          let r =
-            Synth.Hpf.synthesize ~options ~spec ~library:Synth.Library_.default
-              ()
-          in
-          ( case,
-            engine,
-            seed,
-            r.Synth.Engine.elapsed,
+    match engine with
+    | `Hpf ->
+        let r =
+          Synth.Hpf.synthesize ~options ~spec ~library:Synth.Library_.default ()
+        in
+        Verdict.Ok
+          ( r.Synth.Engine.elapsed,
             r.Synth.Engine.stats.Synth.Cegis.multisets_tried,
             r.Synth.Engine.multisets_total )
-      | `Iter ->
-          let r =
-            Synth.Iterative.synthesize ~options ~spec
-              ~library:Synth.Library_.default
-          in
-          (case, engine, seed, r.Synth.Engine.elapsed, 0, 0)
-    in
-    (* Journal immediately (workers record concurrently; the journal is
-       mutex-protected) so a crash mid-campaign loses at most in-flight
-       cells.  A failed append — injected or real — degrades to an
-       unjournaled cell: the result still enters this run's table, only
-       a future resume will recompute it. *)
-    (match journal with
-    | Some j -> (
-        match Journal.try_record j (cell_key task) (cell_to_json cell) with
-        | Ok () -> ()
-        | Error msg ->
-            Printf.printf "checkpoint: write failed for %s (%s); continuing\n%!"
-              (cell_key task) msg)
-    | None -> ());
-    cell
+    | `Iter ->
+        let r =
+          Synth.Iterative.synthesize ~options ~spec
+            ~library:Synth.Library_.default
+        in
+        Verdict.Ok (r.Synth.Engine.elapsed, 0, 0)
   in
-  let outcomes =
-    Progress.with_campaign ~task_budget:budget ~jobs
-      ~total:(List.length to_run) "fig3" (fun () ->
-        Pool.with_pool ~jobs (fun p -> Pool.map_result p run_cell to_run))
+  (* Journaled cells are skipped; their stored numbers enter the table as
+     if just computed. *)
+  let verdicts, summary =
+    Campaign.run ~jobs ~task_budget:budget
+      ?checkpoint:(Option.map (fun path -> (path, codec)) checkpoint)
+      ~key:cell_key "fig3" run_cell tasks
   in
-  let verdicts =
-    List.map2
-      (fun task outcome ->
-        match outcome with
-        | Ok cell -> (task, Verdict.Ok cell)
-        | Error (e : Pool.task_error) ->
-            let msg =
-              Printf.sprintf "%s (attempts: %d)" e.Pool.error e.Pool.attempts
-            in
-            if e.Pool.exhausted then (task, Verdict.Unknown msg)
-            else (task, Verdict.Failed msg))
-      to_run outcomes
-  in
-  List.iter
-    (fun (task, v) ->
-      let key = cell_key task in
-      match v with
-      | Verdict.Ok (_, _, _, elapsed, _, _) ->
-          Report.note_case
-            {
-              Report.rc_key = key;
-              rc_status = Report.Ok;
-              rc_detail = "synthesized";
-              rc_dur = elapsed;
-            }
-      | Verdict.Unknown msg ->
-          Report.note_case
-            {
-              Report.rc_key = key;
-              rc_status = Report.Unknown;
-              rc_detail = msg;
-              rc_dur = 0.0;
-            }
-      | Verdict.Failed msg ->
-          Report.note_case
-            {
-              Report.rc_key = key;
-              rc_status = Report.Failed;
-              rc_detail = msg;
-              rc_dur = 0.0;
-            })
-    verdicts;
   let cells =
-    resumed
-    @ List.filter_map
-        (fun (_, v) -> match v with Verdict.Ok c -> Some c | _ -> None)
-        verdicts
+    List.filter_map
+      (fun (task, v) ->
+        match v with
+        | Verdict.Ok cell -> Some (task, cell)
+        | Verdict.Unknown _ | Verdict.Failed _ -> None)
+      (List.combine tasks verdicts)
   in
   Printf.printf "%-8s %12s %12s %10s %14s\n" "case" "HPF (s)" "iter (s)"
     "HPF/iter" "HPF multisets";
@@ -234,7 +143,7 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
     (fun case ->
       let times engine =
         List.filter_map
-          (fun (c, e, _, t, _, _) ->
+          (fun ((c, e, _), (t, _, _)) ->
             if c = case && e = engine then Some t else None)
           cells
       in
@@ -246,12 +155,8 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
          seed's HPF run. *)
       let tried, total_ms =
         let last_seed = List.nth seeds (List.length seeds - 1) in
-        match
-          List.find_opt
-            (fun (c, e, s, _, _, _) -> c = case && e = `Hpf && s = last_seed)
-            cells
-        with
-        | Some (_, _, _, _, tried, total) -> (tried, total)
+        match List.assoc_opt (case, `Hpf, last_seed) cells with
+        | Some (_, tried, total) -> (tried, total)
         | None -> (0, 0)
       in
       let th = mean (times `Hpf) and ti = mean (times `Iter) in
@@ -261,16 +166,6 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
         (fmt (th /. ti))
         tried total_ms)
     cases;
-  (* Degraded cells, one line each, after the table. *)
-  List.iter
-    (fun (task, v) ->
-      match v with
-      | Verdict.Ok _ -> ()
-      | Verdict.Unknown msg ->
-          Printf.printf "UNKNOWN %s: %s\n%!" (cell_key task) msg
-      | Verdict.Failed msg ->
-          Printf.printf "FAILED  %s: %s\n%!" (cell_key task) msg)
-    verdicts;
   let complete = List.filter (fun (_, t, i) -> not (Float.is_nan (t +. i))) !rows in
   let total f = List.fold_left (fun acc r -> acc +. f r) 0.0 complete in
   let th = total (fun (_, a, _) -> a) and ti = total (fun (_, _, b) -> b) in
@@ -294,17 +189,4 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
     in
     Printf.printf "witness: %s\n%!" (V.outcome_to_string r)
   end;
-  Option.iter Journal.close journal;
-  let summary =
-    Verdict.count ~skipped:(List.length resumed) (List.map snd verdicts)
-  in
-  if Verdict.degraded summary || summary.Verdict.skipped > 0 then
-    Printf.printf "%s\n%!" (Verdict.summary_line summary);
-  Log.info "fig3.done"
-    [
-      ("ok", Log.I summary.Verdict.ok);
-      ("unknown", Log.I summary.Verdict.unknown);
-      ("failed", Log.I summary.Verdict.failed);
-      ("skipped", Log.I summary.Verdict.skipped);
-    ];
   summary

@@ -19,11 +19,11 @@ val run :
     verification (SEPE-SQED on the ADD mutation) so traces of this
     command also exercise the BMC layer.
 
-    The per-cell fan-out is supervised: a cell whose task crashes or
-    exhausts its budget prints a [FAILED]/[UNKNOWN] line after the table
-    (its row shows ["-"] for the missing mean) instead of aborting the
-    run.  [?checkpoint FILE] journals each completed cell to [FILE]
-    ({!Sqed_resil.Journal}); a rerun with the same file resumes, skipping
-    journaled cells and reusing their stored numbers.  [?cases], [?seeds],
+    The per-cell fan-out is a {!Sqed_par.Campaign}: a cell whose task
+    crashes or exhausts its budget prints a [FAILED]/[UNKNOWN] line before
+    the table (its row shows ["-"] for the missing mean) instead of
+    aborting the run.  [?checkpoint FILE] journals each completed cell to
+    [FILE] under [fig3/<case>/<engine>/<seed>]; a rerun with the same file
+    resumes, skipping journaled cells and reusing their stored numbers.  [?cases], [?seeds],
     [?k] and [?time_budget] override the fast/full defaults (used by the
     resilience smoke test to shrink the campaign). *)

@@ -308,6 +308,8 @@ let run s ~kind ~label ~jobs ~fast ?payload body =
       Log.close_sink ())
     (fun () -> summary := body ());
   let code = exit_code !summary ~regressed:!regressed in
+  if Verdict.degraded !summary || !summary.Verdict.skipped > 0 then
+    Printf.printf "%s\n%!" (Verdict.summary_line !summary);
   if Verdict.degraded !summary then begin
     (* Close the flight recorder with the last warnings, so the reason is
        visible without re-running under --log. *)

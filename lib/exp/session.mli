@@ -48,8 +48,9 @@ val run :
     The entry and the sentinel's probe carry [kind] (the producing
     binary), [label] (the subcommand or experiment list), [payload ()]
     (default: the report's run snapshot) and a provenance config built
-    from [jobs], [fast] and the installed solver config.  On a degraded
-    exit the last warning events are dumped to stderr. *)
+    from [jobs], [fast] and the installed solver config.  A degraded or
+    resumed campaign prints its {!Sqed_resil.Verdict.summary_line}; on a
+    degraded exit the last warning events are dumped to stderr. *)
 
 (** {1 Comparing against the ledger} *)
 

@@ -87,8 +87,9 @@ let charge b n =
 
 let cancel b = if b.limited then b.dead <- Some Cancelled
 
-(* Ambient per-domain budget, installed by Pool.map_result for soft
-   per-task deadlines.  DLS so worker domains see their own binding. *)
+(* Ambient per-domain budget, installed by the worker pool's supervised
+   map for soft per-task deadlines.  DLS so worker domains see their own
+   binding. *)
 let current_key = Domain.DLS.new_key (fun () -> unlimited)
 
 let current () = Domain.DLS.get current_key

@@ -223,10 +223,24 @@ let test_synthesized_table_verifies () =
         { Sqed_synth.Cegis.default_config with Sqed_synth.Cegis.xlen = cfg.Config.xlen };
     }
   in
-  let table, cases =
+  (* A crashed synthesis task counts as failed, and ADD keeps its
+     built-in template. *)
+  Sqed_resil.Fault.configure "pool.task:1";
+  let table, _, summary =
+    Fun.protect ~finally:Sqed_resil.Fault.reset (fun () ->
+        Sepe_sqed.Flow.synthesize_table ~options ~cases:[ "ADD" ] cfg)
+  in
+  Alcotest.(check int) "crashed case counts as failed" 1
+    summary.Sqed_resil.Verdict.failed;
+  let add = Sqed_qed.Equiv_table.Kr Sqed_isa.Insn.ADD in
+  Alcotest.(check bool) "ADD keeps its builtin entry" true
+    (Sqed_qed.Equiv_table.lookup table add
+    = Sqed_qed.Equiv_table.lookup (Sepe_sqed.Flow.builtin_table cfg) add);
+  let table, cases, summary =
     Sepe_sqed.Flow.synthesize_table ~options ~cases:[ "ADD" ] cfg
   in
   Alcotest.(check int) "one case" 1 (List.length cases);
+  Alcotest.(check int) "clean campaign" 1 summary.Sqed_resil.Verdict.ok;
   let r =
     V.run ~bug:Bug.Bug_add ~table ~method_:V.Sepe_sqed ~bound:12
       ~time_budget:300.0 cfg

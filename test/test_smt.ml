@@ -344,89 +344,6 @@ let test_parser_roundtrip_with_emitter () =
   | Ok _ -> Alcotest.fail "expected sat"
   | Error e -> Alcotest.fail e
 
-(* ---------------------------------------------------------------- *)
-(* Rewrite pass                                                      *)
-(* ---------------------------------------------------------------- *)
-
-module Rewrite = Sqed_smt.Rewrite
-
-let test_rewrite_rules () =
-  let x = Term.var (fresh_name "rw") 8 and y = Term.var (fresh_name "rw") 8 in
-  let c k = Term.of_int ~width:8 k in
-  (* constant re-association *)
-  Alcotest.(check bool) "(x+1)+2 = x+3" true
-    (Term.equal (Rewrite.simplify (Term.add (Term.add x (c 1)) (c 2)))
-       (Term.add x (c 3)));
-  (* eq-of-xor *)
-  Alcotest.(check bool) "eq(x^y,0) = eq(x,y)" true
-    (Term.equal (Rewrite.simplify (Term.eq (Term.xor x y) (c 0))) (Term.eq x y));
-  Alcotest.(check bool) "eq(x-y,0) = eq(x,y)" true
-    (Term.equal (Rewrite.simplify (Term.eq (Term.sub x y) (c 0))) (Term.eq x y));
-  (* boolean ite collapse *)
-  let cnd = Term.var (fresh_name "rwc") 1 in
-  Alcotest.(check bool) "ite c 1 0 = c" true
-    (Term.equal
-       (Rewrite.simplify (Term.ite cnd (Term.of_int ~width:1 1) (Term.of_int ~width:1 0)))
-       cnd);
-  Alcotest.(check bool) "ite c 0 1 = not c" true
-    (Term.equal
-       (Rewrite.simplify (Term.ite cnd (Term.of_int ~width:1 0) (Term.of_int ~width:1 1)))
-       (Term.not_ cnd));
-  (* extract through concat *)
-  Alcotest.(check bool) "extract of concat hits the right half" true
-    (Term.equal
-       (Rewrite.simplify (Term.extract ~hi:3 ~lo:0 (Term.concat x y)))
-       (Term.extract ~hi:3 ~lo:0 y));
-  (* eq of ite-of-constants *)
-  Alcotest.(check bool) "eq(ite c 3 5, 3) = c" true
-    (Term.equal (Rewrite.simplify (Term.eq (Term.ite cnd (c 3) (c 5)) (c 3))) cnd)
-
-(* Random term generator for the soundness property. *)
-let rec random_term rng vars depth width =
-  if depth = 0 then
-    if Random.State.bool rng then List.nth vars (Random.State.int rng (List.length vars))
-    else Term.of_int ~width (Random.State.int rng 256)
-  else
-    let sub () = random_term rng vars (depth - 1) width in
-    match Random.State.int rng 12 with
-    | 0 -> Term.add (sub ()) (sub ())
-    | 1 -> Term.sub (sub ()) (sub ())
-    | 2 -> Term.and_ (sub ()) (sub ())
-    | 3 -> Term.or_ (sub ()) (sub ())
-    | 4 -> Term.xor (sub ()) (sub ())
-    | 5 -> Term.not_ (sub ())
-    | 6 -> Term.mul (sub ()) (sub ())
-    | 7 -> Term.ite (Term.eq (sub ()) (sub ())) (sub ()) (sub ())
-    | 8 -> Term.shl (sub ()) (sub ())
-    | 9 ->
-        Term.zext (Term.extract ~hi:(width - 2) ~lo:0 (sub ())) width
-    | 10 -> Term.concat (Term.extract ~hi:3 ~lo:0 (sub ())) (Term.extract ~hi:(width - 5) ~lo:0 (sub ()))
-    | _ -> Term.lshr (sub ()) (sub ())
-
-let rewrite_sound =
-  QCheck.Test.make ~name:"rewrite preserves evaluation" ~count:300
-    (QCheck.make ~print:string_of_int QCheck.Gen.nat)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let width = 8 in
-      let names = [ fresh_name "rs"; fresh_name "rs"; fresh_name "rs" ] in
-      let vars = List.map (fun n -> Term.var n width) names in
-      let t = random_term rng vars 4 width in
-      let t' = Rewrite.simplify t in
-      let env = List.map (fun n -> (n, Bv.random rng width)) names in
-      let lookup n = List.assoc n env in
-      Bv.equal (Term.eval lookup t) (Term.eval lookup t'))
-
-let rewrite_not_costlier =
-  QCheck.Test.make ~name:"rewrite never raises the gate estimate" ~count:200
-    (QCheck.make ~print:string_of_int QCheck.Gen.nat)
-    (fun seed ->
-      let rng = Random.State.make [| seed |] in
-      let names = [ fresh_name "rg"; fresh_name "rg" ] in
-      let vars = List.map (fun n -> Term.var n 8) names in
-      let t = random_term rng vars 4 8 in
-      Rewrite.gate_estimate (Rewrite.simplify t) <= Rewrite.gate_estimate t)
-
 let suite =
   [
     Alcotest.test_case "smtlib parser basic" `Quick test_parser_basic;
@@ -435,7 +352,6 @@ let suite =
     Alcotest.test_case "smtlib parser errors" `Quick test_parser_errors;
     Alcotest.test_case "smtlib emit/parse roundtrip" `Quick
       test_parser_roundtrip_with_emitter;
-    Alcotest.test_case "rewrite rules" `Quick test_rewrite_rules;
     Alcotest.test_case "hashcons" `Quick test_hashcons;
     Alcotest.test_case "folding" `Quick test_folding;
     Alcotest.test_case "width errors" `Quick test_width_errors;
@@ -452,5 +368,4 @@ let suite =
     Alcotest.test_case "solver dimacs export" `Quick test_solver_dimacs_export;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
-      (differential_props @ identity_props
-      @ [ rewrite_sound; rewrite_not_costlier ])
+      (differential_props @ identity_props)
