@@ -46,10 +46,13 @@ let fast = ref false
 let jobs = ref 0 (* 0 = Pool.default_jobs () *)
 let checkpoint = ref None (* --checkpoint FILE: journal + resume fig3/table1 *)
 
-(* --handicap F: sleep F x the measured wall inside every experiment
-   timer, inflating br_wall deterministically.  Exists purely to let CI
-   demonstrate the regression sentinel trips: a handicapped run against
-   an honest baseline must exit with the regression code. *)
+(* --handicap F: burn F x the measured CPU time inside every experiment
+   timer, multiplying br_cpu by 1+F (and stretching br_wall).  Exists
+   purely to let CI demonstrate the regression sentinel trips: a
+   handicapped run against an honest baseline must exit with the
+   regression code.  CPU time makes the trip deterministic: wall time
+   moves with whatever else shares the machine and with how many domains
+   the experiment keeps busy, CPU time hardly does. *)
 let handicap = ref 0.0
 
 let line = String.make 72 '-'
@@ -72,6 +75,7 @@ let jobs_used () = if !jobs > 0 then !jobs else Pool.default_jobs ()
 type bench_record = {
   br_name : string;
   br_wall : float;  (** wall-clock seconds for the whole experiment *)
+  br_cpu : float;  (** process CPU seconds (user + system, all domains) *)
   br_clauses : int;  (** problem clauses across all solver instances *)
   br_conflicts : int;  (** SAT conflicts across all solver instances *)
 }
@@ -86,6 +90,7 @@ let bench_payload () =
           [
             ("name", Json.String r.br_name);
             ("wall_s", Json.Float r.br_wall);
+            ("cpu_s", Json.Float r.br_cpu);
             ("clauses", Json.Int r.br_clauses);
             ("conflicts", Json.Int r.br_conflicts);
           ])
@@ -106,6 +111,11 @@ let write_json path payload =
       output_char oc '\n');
   Printf.printf "\nwrote %s\n%!" path
 
+(* Process CPU seconds so far, user + system over every domain. *)
+let cpu_now () =
+  let t = Unix.times () in
+  t.Unix.tms_utime +. t.Unix.tms_stime
+
 (* Run one experiment inside a span, attributing the global SAT clause and
    conflict counters to it by delta.  The registry aggregates across every
    solver instance on every domain, which is what makes the totals real —
@@ -114,18 +124,24 @@ let write_json path payload =
    closed) even if the experiment raises. *)
 let timed name f =
   let t0 = Unix.gettimeofday () in
+  let cpu0 = cpu_now () in
   let c0 = Metrics.find_counter "sat.clauses" in
   let k0 = Metrics.find_counter "sat.conflicts" in
   Fun.protect
     ~finally:(fun () ->
-      (* Deliberate slowdown for sentinel testing: stretch the wall by
-         the handicap factor before the record is cut. *)
-      if !handicap > 0.0 then
-        Unix.sleepf (!handicap *. (Unix.gettimeofday () -. t0));
+      (* Deliberate slowdown for sentinel testing: spin until the
+         experiment's CPU time has grown by the handicap factor, before
+         the record is cut. *)
+      if !handicap > 0.0 then begin
+        let now = cpu_now () in
+        let until = now +. (!handicap *. (now -. cpu0)) in
+        while cpu_now () < until do () done
+      end;
       records :=
         {
           br_name = name;
           br_wall = Unix.gettimeofday () -. t0;
+          br_cpu = cpu_now () -. cpu0;
           br_clauses = Metrics.find_counter "sat.clauses" - c0;
           br_conflicts = Metrics.find_counter "sat.conflicts" - k0;
         }

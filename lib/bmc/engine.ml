@@ -41,9 +41,10 @@ let default_portfolio_from = 4
 let bool_of bv = not (Bv.is_zero bv)
 
 let extract_trace model u solver depth =
-  let value_out step name =
-    Solver.model_value solver (Unroll.output u ~step name)
-  in
+  (* One evaluator for the whole trace: every read below reaches back to
+     step 0 through the same unrolled cone, which it then walks once. *)
+  let value = Solver.model_evaluator solver in
+  let value_out step name = value (Unroll.output u ~step name) in
   let input_names =
     List.map fst (Sqed_rtl.Circuit.inputs model.Qed_top.circuit)
   in
@@ -59,9 +60,7 @@ let extract_trace model u solver depth =
           if consumed && is_orig then core_instr else None
         in
         let raw_inputs =
-          List.map
-            (fun name ->
-              (name, Solver.model_value solver (Unroll.input u ~step:t name)))
+          List.map (fun name -> (name, value (Unroll.input u ~step:t name)))
             input_names
         in
         {
@@ -80,13 +79,11 @@ let extract_trace model u solver depth =
   let final_regs =
     List.init (cfg.Sqed_qed.Qed_top.Config.nregs - 1) (fun i ->
         let name = Printf.sprintf "x%d" (i + 1) in
-        ( i + 1,
-          Solver.model_value solver (Unroll.reg_at u ~step:(depth - 1) name) ))
+        (i + 1, value (Unroll.reg_at u ~step:(depth - 1) name)))
   in
   let initial_state =
     List.map
-      (fun (name, w) ->
-        (name, Solver.model_value solver (Term.var name w)))
+      (fun (name, w) -> (name, value (Term.var name w)))
       (Unroll.init_vars u)
   in
   {

@@ -49,6 +49,15 @@ val check :
     overhead would dominate — and has no effect unless the run sets a
     portfolio width above 1 ({!Sqed_smt.Solver.config}). *)
 
+val extract_trace :
+  Sqed_qed.Qed_top.t -> Sqed_rtl.Unroll.t -> Sqed_smt.Solver.t -> int -> Trace.t
+(** [extract_trace model u solver depth] reads the counterexample of
+    length [depth] out of [solver]'s last model of the unrolling [u]:
+    per-step outputs and raw inputs, the final architectural registers
+    and the symbolic initial state.  All reads share one
+    {!Sqed_smt.Solver.model_evaluator}, so the unrolled cone is walked
+    once, not once per read. *)
+
 val replay : Sqed_qed.Qed_top.t -> Trace.t -> bool
 (** Witness validation: re-run the counterexample's exact inputs and
     initial state on the concrete cycle simulator and confirm the model's

@@ -72,7 +72,7 @@ let metrics_of_payload j =
                     Option.map
                       (fun v -> (Printf.sprintf "exp.%s.%s" name key, v))
                       (Option.bind (Json.member key e) Json.to_float_opt))
-                  [ "wall_s"; "clauses"; "conflicts" ]
+                  [ "wall_s"; "cpu_s"; "clauses"; "conflicts" ]
             | None -> [])
           exps
     | _ -> []

@@ -54,6 +54,7 @@ let m_simp_strengthened = Metrics.counter "sat.simplify.strengthened"
 let m_simp_probe = Metrics.counter "sat.simplify.probe_failures"
 let m_simp_units = Metrics.counter "sat.simplify.units"
 let m_simp_resolvents = Metrics.counter "sat.simplify.resolvents"
+let m_simp_restored = Metrics.counter "sat.simplify.restored_vars"
 let sp_simplify = Trace.kind ~cat:"sat" "sat.simplify"
 
 type lit = int
@@ -89,6 +90,7 @@ module Ivec = struct
     v.sz <- v.sz + 1
 
   let clear v = v.sz <- 0
+  let copy v = { data = Array.sub v.data 0 v.sz; sz = v.sz }
 end
 
 (* Arena clause layout (see the header comment). *)
@@ -210,11 +212,18 @@ type t = {
   mutable max_learnts : float;
   (* Preprocessing state (see Simplify and DESIGN.md "Solver
      preprocessing").  [frozen] vars are never eliminated; [elim] vars
-     have been resolved away, their defining clauses pushed (newest
-     first) onto [elim_stack] for model extension and restoration. *)
+     have been resolved away.  An eliminated variable's defining clauses
+     sit in [elim_clauses], and the variable is pushed onto [elim_stack]
+     (elimination order) for model extension; [elim_seq] is the position
+     of its live stack entry.  A restored variable's entry retires in
+     place: an entry at [i] is live iff its variable is eliminated with
+     [elim_seq] = [i].  [n_elim] counts the live entries. *)
   mutable frozen : bool array;
   mutable elim : bool array;
-  mutable elim_stack : (int * lit array list) list;
+  mutable elim_clauses : lit array list array;
+  mutable elim_seq : int array;
+  mutable elim_stack : Ivec.t;
+  mutable n_elim : int;
   mutable simplify_on : bool;
   mutable clauses_at_simplify : int;
   mutable n_solves : int;
@@ -286,7 +295,10 @@ let create () =
     max_learnts = 0.0;
     frozen = Array.make 1 false;
     elim = Array.make 1 false;
-    elim_stack = [];
+    elim_clauses = Array.make 1 [];
+    elim_seq = Array.make 1 0;
+    elim_stack = Ivec.create ();
+    n_elim = 0;
     simplify_on = false;
     clauses_at_simplify = 0;
     n_solves = 0;
@@ -428,6 +440,8 @@ let new_var s =
   s.an_buf <- grow_array s.an_buf n 0;
   s.frozen <- grow_array s.frozen n false;
   s.elim <- grow_array s.elim n false;
+  s.elim_clauses <- grow_array s.elim_clauses n [];
+  s.elim_seq <- grow_array s.elim_seq n 0;
   s.heap_pos <- grow_array s.heap_pos n (-1);
   if Array.length s.watches < 2 * n then begin
     let len = max (2 * n) (2 * Array.length s.watches) in
@@ -657,11 +671,26 @@ let normalize s lits =
 
 exception Early_unsat
 
+(* Drop the retired entries of [elim_stack], keeping live ones in order
+   and renumbering their [elim_seq]. *)
+let compact_elim_stack s =
+  let st = s.elim_stack in
+  let k = ref 0 in
+  for i = 0 to st.Ivec.sz - 1 do
+    let v = st.Ivec.data.(i) in
+    if s.elim.(v) && s.elim_seq.(v) = i then begin
+      st.Ivec.data.(!k) <- v;
+      s.elim_seq.(v) <- !k;
+      incr k
+    end
+  done;
+  st.Ivec.sz <- !k
+
 let rec add_clause_internal s lits =
   if s.ok then begin
     (* A clause over an eliminated variable re-opens it: restore the
        stored clauses (transitively) before the new one lands. *)
-    if s.elim_stack <> [] then
+    if s.n_elim > 0 then
       Array.iter
         (fun l -> if s.elim.(var_of l) then restore_vars s (var_of l))
         lits;
@@ -689,43 +718,47 @@ let rec add_clause_internal s lits =
 
 (* Un-eliminate [v0]: put its stored clauses back into the live set.
    Stored clauses may mention variables eliminated after [v0], whose own
-   stored clauses then also come back — the closure is computed first and
-   every member unmarked before any clause is re-added, so the nested
-   [add_clause_internal] calls see no eliminated variables. *)
+   stored clauses then also come back.  The closure is found by a walk
+   over the stored clauses of affected variables only, unmarking every
+   member before any clause is re-added, so the nested
+   [add_clause_internal] calls see no eliminated variables.  Members are
+   re-inserted and their clauses re-added newest-first (stack order). *)
 and restore_vars s v0 =
   if s.elim.(v0) then begin
-    let affected = Hashtbl.create 8 in
-    Hashtbl.replace affected v0 ();
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      List.iter
-        (fun (v, stored) ->
-          if Hashtbl.mem affected v then
-            List.iter
-              (fun lits ->
-                Array.iter
-                  (fun l ->
-                    let w = var_of l in
-                    if s.elim.(w) && not (Hashtbl.mem affected w) then begin
-                      Hashtbl.replace affected w ();
-                      changed := true
-                    end)
-                  lits)
-              stored)
-        s.elim_stack
-    done;
-    let restored, kept =
-      List.partition (fun (v, _) -> Hashtbl.mem affected v) s.elim_stack
+    s.elim.(v0) <- false;
+    let closure = ref [ v0 ] in
+    let rec walk = function
+      | [] -> ()
+      | v :: rest ->
+          let todo = ref rest in
+          List.iter
+            (Array.iter (fun l ->
+                 let w = var_of l in
+                 if s.elim.(w) then begin
+                   s.elim.(w) <- false;
+                   closure := w :: !closure;
+                   todo := w :: !todo
+                 end))
+            s.elim_clauses.(v);
+          walk !todo
     in
-    s.elim_stack <- kept;
+    walk [ v0 ];
+    let restored =
+      List.sort
+        (fun a b -> Int.compare s.elim_seq.(b) s.elim_seq.(a))
+        !closure
+    in
+    let n = List.length restored in
+    Metrics.add m_simp_restored n;
+    s.n_elim <- s.n_elim - n;
+    (* Retired entries stay on the stack until they outnumber live ones. *)
+    if s.elim_stack.Ivec.sz > 2 * s.n_elim then compact_elim_stack s;
+    List.iter (heap_insert s) restored;
     List.iter
-      (fun (v, _) ->
-        s.elim.(v) <- false;
-        heap_insert s v)
-      restored;
-    List.iter
-      (fun (_, stored) -> List.iter (add_clause_internal s) stored)
+      (fun v ->
+        let stored = s.elim_clauses.(v) in
+        s.elim_clauses.(v) <- [];
+        List.iter (add_clause_internal s) stored)
       restored
   end
 
@@ -862,21 +895,25 @@ let unassigned s c =
   done;
   u
 
+(* The live problem clauses with level-0 values folded in, as fresh
+   arrays the pass may normalize in place.  After a full level-0
+   propagation every unsatisfied clause has at least two unassigned
+   literals. *)
+let problem_clauses s =
+  let input = ref [] in
+  for i = 0 to s.clauses.Ivec.sz - 1 do
+    let c = s.clauses.Ivec.data.(i) in
+    if not (exists_lit s c (fun l -> lit_val s l = 1)) then
+      input := unassigned s c :: !input
+  done;
+  !input
+
 (* Run one Simplify pass over the problem clauses and rebuild the solver
    around the outcome.  Must be called at decision level 0; sets [ok]
    false if the pass derives the empty clause. *)
 let simplify_body s =
   if propagate s >= 0 then s.ok <- false;
   if s.ok then begin
-    (* Extract the live problem clauses with level-0 values folded in.
-       After a full level-0 propagation every unsatisfied clause has at
-       least two unassigned literals. *)
-    let input = ref [] in
-    for i = 0 to s.clauses.Ivec.sz - 1 do
-      let c = s.clauses.Ivec.data.(i) in
-      if not (exists_lit s c (fun l -> lit_val s l = 1)) then
-        input := unassigned s c :: !input
-    done;
     (* Preprocessing degrades rather than raising: Simplify stops at the
        next consistent boundary when the budget runs out, and the pass
        result so far is still sound to install. *)
@@ -884,7 +921,10 @@ let simplify_body s =
       Budget.over s.budget <> None || Budget.over (Budget.current ()) <> None
     in
     let o =
-      Simplify.run ~nvars:s.nvars ~frozen:(fun v -> s.frozen.(v)) ~stop !input
+      (* The extracted list is handed over, not bound here: the pass
+         consumes it and nothing keeps it alive beside its clauses. *)
+      Simplify.run ~nvars:s.nvars ~frozen:(fun v -> s.frozen.(v)) ~stop
+        (problem_clauses s)
     in
     Metrics.incr m_simp_passes;
     Metrics.add m_simp_elim o.Simplify.stats.Simplify.eliminated_vars;
@@ -895,8 +935,14 @@ let simplify_body s =
     Metrics.add m_simp_resolvents o.Simplify.stats.Simplify.resolvents;
     if o.Simplify.unsat then s.ok <- false
     else begin
-      List.iter (fun (v, _) -> s.elim.(v) <- true) o.Simplify.eliminated;
-      s.elim_stack <- List.rev_append o.Simplify.eliminated s.elim_stack;
+      List.iter
+        (fun (v, stored) ->
+          s.elim.(v) <- true;
+          s.elim_clauses.(v) <- stored;
+          s.elim_seq.(v) <- s.elim_stack.Ivec.sz;
+          Ivec.push s.elim_stack v;
+          s.n_elim <- s.n_elim + 1)
+        o.Simplify.eliminated;
       (* The whole clause database is rebuilt, so every watch list —
          including the blocker-only binary lists, which cannot express
          deletion — is cleared and re-filled.  Old reason clauses no
@@ -1007,16 +1053,18 @@ let maybe_simplify s =
   then Trace.with_span sp_simplify (fun () -> simplify_body s)
 
 (* Extend a model of the simplified formula to the eliminated variables.
-   [elim_stack] is newest-first, i.e. reverse elimination order: a stored
-   clause mentions only its own variable, never-eliminated variables
-   (already valued) and later-eliminated variables (walked earlier), so
-   evaluation is total.  Setting each variable to satisfy its stored
-   clauses cannot conflict — the accepted resolvents guarantee that when
-   all other literals of some positive-occurrence clause are false, every
-   negative-occurrence clause is satisfied by another literal. *)
+   The live entries of [elim_stack] are walked newest-first, i.e. in
+   reverse elimination order: a stored clause mentions only its own
+   variable, never-eliminated variables (already valued) and
+   later-eliminated variables (walked earlier), so evaluation is total.
+   Setting each variable to satisfy its stored clauses cannot conflict —
+   the accepted resolvents guarantee that when all other literals of some
+   positive-occurrence clause are false, every negative-occurrence clause
+   is satisfied by another literal. *)
 let extend_model s =
-  List.iter
-    (fun (v, stored) ->
+  for i = s.elim_stack.Ivec.sz - 1 downto 0 do
+    let v = s.elim_stack.Ivec.data.(i) in
+    if s.elim.(v) && s.elim_seq.(v) = i then begin
       s.model.(v) <- false;
       if
         List.exists
@@ -1029,9 +1077,10 @@ let extend_model s =
                       w <> v
                       && (if is_pos l then s.model.(w) else not s.model.(w)))
                     lits))
-          stored
-      then s.model.(v) <- true)
-    s.elim_stack
+          s.elim_clauses.(v)
+      then s.model.(v) <- true
+    end
+  done
 
 (* -- backtracking ------------------------------------------------------ *)
 
@@ -1594,9 +1643,13 @@ let clone s =
   c.an_buf <- Array.make (Array.length s.an_buf) 0;
   c.frozen <- Array.copy s.frozen;
   c.elim <- Array.copy s.elim;
-  (* Immutable spine and literal arrays that are only ever read (model
-     extension, restore): structural sharing across domains is safe. *)
-  c.elim_stack <- s.elim_stack;
+  (* Stored clause lists are immutable and their literal arrays are only
+     ever read (model extension, restore): sharing them across domains is
+     safe, so only the per-variable index is copied. *)
+  c.elim_clauses <- Array.copy s.elim_clauses;
+  c.elim_seq <- Array.copy s.elim_seq;
+  c.elim_stack <- Ivec.copy s.elim_stack;
+  c.n_elim <- s.n_elim;
   c.trail <- Array.copy s.trail;
   c.trail_sz <- s.trail_sz;
   c.qhead <- s.qhead;

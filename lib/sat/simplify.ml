@@ -142,12 +142,13 @@ let add_clean st lits =
   | 1 -> enqueue_unit st lits.(0)
   | _ -> attach st { lits; sg = clause_sig lits; dead = false }
 
-(* Add a raw input clause: sort, drop duplicates and assigned literals,
-   detect tautologies and satisfied clauses. *)
+(* Add a raw input clause, normalized in place (the pass owns its
+   input arrays): sort, drop duplicates and assigned literals, detect
+   tautologies and satisfied clauses.  The array itself becomes the
+   clause's storage unless something was dropped. *)
 let add_input st lits =
-  let lits = Array.copy lits in
-  Array.sort compare lits;
-  let out = ref [] and n = ref 0 in
+  Array.sort Int.compare lits;
+  let n = ref 0 in
   let sat_ = ref false in
   let last = ref (-2) in
   Array.iter
@@ -159,15 +160,13 @@ let add_input st lits =
         | 1 -> sat_ := true
         | 0 -> ()
         | _ ->
-            out := l :: !out;
+            lits.(!n) <- l;
             incr n
       end)
     lits;
-  if not !sat_ then begin
-    let a = Array.make !n 0 in
-    List.iteri (fun i l -> a.(!n - 1 - i) <- l) !out;
-    add_clean st a
-  end
+  if not !sat_ then
+    add_clean st
+      (if !n = Array.length lits then lits else Array.sub lits 0 !n)
 
 let live_occ st l =
   let live = List.filter (fun c -> not c.dead) st.occ.(l) in
@@ -391,7 +390,7 @@ let try_eliminate st v =
          (* Accepted: store the original clauses for model extension,
             remove them, add the resolvents. *)
          let stored =
-           List.rev_map (fun c -> Array.copy c.lits) (List.rev_append pos neg)
+           List.rev_map (fun c -> c.lits) (List.rev_append pos neg)
          in
          List.iter (fun c -> c.dead <- true) pos;
          List.iter (fun c -> c.dead <- true) neg;
@@ -426,7 +425,13 @@ let bve_pass ?(stop = fun () -> false) st =
           cand := (np * nn, v) :: !cand
       end
     done;
-    let cand = List.sort compare !cand in
+    let cand =
+      List.sort
+        (fun (a, v) (b, w) ->
+          let c = Int.compare a b in
+          if c <> 0 then c else Int.compare v w)
+        !cand
+    in
     (try
        List.iter
          (fun (_, v) ->

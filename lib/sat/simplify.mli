@@ -56,6 +56,11 @@ val run :
     duplicate literals, tautologies or units; literals must be
     [< 2*nvars].  The result mentions no eliminated variable.
 
+    [run] takes ownership of the input arrays: it sorts and compacts
+    each one in place, and the outcome's [clauses] and [eliminated]
+    lists may share them.  Callers pass fresh arrays and must not
+    mutate the outcome's arrays.
+
     [stop] is polled at operation boundaries (per subsumption clause,
     per probe, per elimination candidate); once it turns true the pass
     degrades — it finishes the current atomic operation, skips the rest,

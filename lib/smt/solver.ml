@@ -145,28 +145,26 @@ let check ?(assumptions = []) ?max_conflicts ?deadline s =
           ];
       r)
 
+(* Unblasted variables are unconstrained: they read as zero at the width
+   of their [Var] node. *)
+let model_lookup s name w =
+  match Bitblast.var_lits s.blaster name ~width:w with
+  | Some lits -> Bv.of_bits (Array.map (fun l -> Sat.lit_value s.sat l) lits)
+  | None -> Bv.zero w
+
 let model_var s t =
   if not s.has_model then failwith "Solver.model_var: no model";
   match t.Term.node with
-  | Term.Var (name, w) -> (
-      match Bitblast.var_lits s.blaster name ~width:w with
-      | None -> Bv.zero w
-      | Some lits ->
-          Bv.of_bits (Array.map (fun l -> Sat.lit_value s.sat l) lits))
+  | Term.Var (name, w) -> model_lookup s name w
   | _ -> invalid_arg "Solver.model_var: not a variable"
+
+let model_evaluator s =
+  if not s.has_model then failwith "Solver.model_evaluator: no model";
+  Term.evaluator (model_lookup s)
 
 let model_value s t =
   if not s.has_model then failwith "Solver.model_value: no model";
-  (* Unblasted variables are unconstrained; their widths come from the
-     term's own variable list. *)
-  let widths = Term.vars t in
-  let lookup name =
-    let w = try List.assoc name widths with Not_found -> 1 in
-    match Bitblast.var_lits s.blaster name ~width:w with
-    | Some lits -> Bv.of_bits (Array.map (fun l -> Sat.lit_value s.sat l) lits)
-    | None -> Bv.zero w
-  in
-  Term.eval lookup t
+  Term.evaluator (model_lookup s) t
 
 let to_dimacs s = Sat.to_dimacs s.sat
 

@@ -99,6 +99,13 @@ val model_var : t -> Term.t -> Bv.t
 val model_value : t -> Term.t -> Bv.t
 (** Evaluate an arbitrary term under the last model's variable values. *)
 
+val model_evaluator : t -> Term.t -> Bv.t
+(** [model_evaluator s] evaluates terms under the last model like
+    {!model_value}, with one memo table shared by every term it is
+    applied to: reading many outputs of one unrolled circuit costs one
+    walk of their common cone.  Valid until the next {!check}.  Raises
+    [Failure] without a model. *)
+
 val num_clauses : t -> int
 val num_vars : t -> int
 

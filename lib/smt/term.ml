@@ -335,7 +335,7 @@ let disj = function
 
 (* -- evaluation --------------------------------------------------------- *)
 
-let eval lookup t =
+let evaluator lookup =
   let cache : (int, Bv.t) Hashtbl.t = Hashtbl.create 64 in
   let rec go t =
     match Hashtbl.find_opt cache t.id with
@@ -343,11 +343,7 @@ let eval lookup t =
     | None ->
         let v =
           match t.node with
-          | Var (s, w) ->
-              let v = lookup s in
-              if Bv.width v <> w then
-                invalid_arg ("Term.eval: width mismatch for variable " ^ s);
-              v
+          | Var (s, w) -> lookup s w
           | Const b -> b
           | Not a -> Bv.lognot (go a)
           | Neg a -> Bv.neg (go a)
@@ -374,7 +370,16 @@ let eval lookup t =
         Hashtbl.add cache t.id v;
         v
   in
-  go t
+  go
+
+let eval lookup t =
+  evaluator
+    (fun s w ->
+      let v = lookup s in
+      if Bv.width v <> w then
+        invalid_arg ("Term.eval: width mismatch for variable " ^ s);
+      v)
+    t
 
 let vars t =
   let seen = Hashtbl.create 16 in

@@ -106,6 +106,14 @@ val eval : (string -> Bv.t) -> t -> Bv.t
 (** Concrete evaluation; [lookup] supplies variable values and is applied
     once per distinct variable occurrence (results are memoized per call). *)
 
+val evaluator : (string -> int -> Bv.t) -> t -> Bv.t
+(** [evaluator lookup] is a concrete evaluator whose memo table is shared
+    by every term it is applied to, so evaluating many terms over one
+    DAG (an unrolled circuit read step by step) visits each shared node
+    once.  [lookup name width] supplies a variable's value and must
+    return a vector of that width; it is applied once per distinct
+    variable node. *)
+
 val vars : t -> (string * int) list
 (** Free variables, sorted by name, without duplicates. *)
 

@@ -204,6 +204,121 @@ let test_kinduction_base_cex () =
   | Engine.Not_inductive _ | Engine.Proof_gave_up _ ->
       Alcotest.fail "expected the base case to find the bug"
 
+(* Reference extraction: one [Solver.model_value] call per output, input
+   and register, each with a fresh memo table. *)
+let reference_trace model u solver depth =
+  let module Solver = Sqed_smt.Solver in
+  let module Unroll = Sqed_rtl.Unroll in
+  let bool_of bv = not (Sqed_bv.Bv.is_zero bv) in
+  let value_out step name =
+    Solver.model_value solver (Unroll.output u ~step name)
+  in
+  let steps =
+    List.init depth (fun t ->
+        let core_valid = bool_of (value_out t "core_valid") in
+        let consumed = bool_of (value_out t "consumed") in
+        let is_orig = bool_of (value_out t "is_orig") in
+        let core_instr =
+          if core_valid then Sqed_isa.Encode.decode (value_out t "core_instr")
+          else None
+        in
+        {
+          Trace.cycle = t;
+          orig_instr = (if consumed && is_orig then core_instr else None);
+          core_instr = (if consumed then core_instr else None);
+          is_orig;
+          stall = bool_of (value_out t "stall");
+          qed_ready = bool_of (value_out t "qed_ready");
+          consistent = bool_of (value_out t "consistent");
+          raw_inputs =
+            List.map
+              (fun (name, _) ->
+                (name, Solver.model_value solver (Unroll.input u ~step:t name)))
+              (Sqed_rtl.Circuit.inputs model.Sqed_qed.Qed_top.circuit);
+        })
+  in
+  let consumed = List.filter (fun s -> s.Trace.core_instr <> None) steps in
+  {
+    Trace.steps;
+    length = depth;
+    instructions = List.length consumed;
+    originals = List.length (List.filter (fun s -> s.Trace.is_orig) consumed);
+    final_regs =
+      List.init (cfg.Config.nregs - 1) (fun i ->
+          ( i + 1,
+            Solver.model_value solver
+              (Unroll.reg_at u ~step:(depth - 1)
+                 (Printf.sprintf "x%d" (i + 1))) ));
+    initial_state =
+      List.map
+        (fun (name, w) ->
+          (name, Solver.model_value solver (Sqed_smt.Term.var name w)))
+        (Unroll.init_vars u);
+  }
+
+let test_extract_trace_shared_eval () =
+  (* One Bug_add cell, solved depth by depth as [Engine.check] does; at
+     the first SAT depth the shared-evaluator extraction must equal the
+     per-read reference field by field, and replay. *)
+  let module Solver = Sqed_smt.Solver in
+  let module Term = Sqed_smt.Term in
+  let module Unroll = Sqed_rtl.Unroll in
+  let model = Sqed_qed.Qed_top.edsep ~bug:Bug.Bug_add cfg in
+  let solver = Solver.create () in
+  let u = Unroll.create model.Sqed_qed.Qed_top.circuit in
+  List.iter
+    (fun (_, t) -> Solver.assert_ solver t)
+    (Sqed_qed.Qed_top.init_assumptions model);
+  let rec first_sat k =
+    if k > 10 then Alcotest.fail "no counterexample up to depth 10";
+    Unroll.extend_to u k;
+    Solver.assert_ solver
+      (Term.eq (Unroll.output u ~step:(k - 1) "assume_ok") Term.tt);
+    let bad = Term.eq (Unroll.output u ~step:(k - 1) "bad") Term.tt in
+    match Solver.check ~assumptions:[ bad ] solver with
+    | Solver.Sat -> k
+    | Solver.Unsat ->
+        Solver.assert_ solver (Term.not_ bad);
+        first_sat (k + 1)
+    | Solver.Unknown -> Alcotest.fail "unknown"
+  in
+  let depth = first_sat 1 in
+  let got = Engine.extract_trace model u solver depth in
+  let want = reference_trace model u solver depth in
+  let bv = Alcotest.testable Sqed_bv.Bv.pp Sqed_bv.Bv.equal in
+  let insn =
+    Alcotest.(option (testable Sqed_isa.Insn.pp Sqed_isa.Insn.equal))
+  in
+  let named = Alcotest.(list (pair string bv)) in
+  Alcotest.(check int) "length" want.Trace.length got.Trace.length;
+  Alcotest.(check int) "instructions" want.Trace.instructions
+    got.Trace.instructions;
+  Alcotest.(check int) "originals" want.Trace.originals got.Trace.originals;
+  Alcotest.(check (list (pair int bv)))
+    "final_regs" want.Trace.final_regs got.Trace.final_regs;
+  Alcotest.check named "initial_state" want.Trace.initial_state
+    got.Trace.initial_state;
+  Alcotest.(check int) "steps" (List.length want.Trace.steps)
+    (List.length got.Trace.steps);
+  List.iter2
+    (fun w g ->
+      let at f = Printf.sprintf "cycle %d %s" w.Trace.cycle f in
+      Alcotest.(check int) (at "cycle") w.Trace.cycle g.Trace.cycle;
+      Alcotest.check insn (at "orig_instr") w.Trace.orig_instr
+        g.Trace.orig_instr;
+      Alcotest.check insn (at "core_instr") w.Trace.core_instr
+        g.Trace.core_instr;
+      Alcotest.(check bool) (at "is_orig") w.Trace.is_orig g.Trace.is_orig;
+      Alcotest.(check bool) (at "stall") w.Trace.stall g.Trace.stall;
+      Alcotest.(check bool) (at "qed_ready") w.Trace.qed_ready
+        g.Trace.qed_ready;
+      Alcotest.(check bool) (at "consistent") w.Trace.consistent
+        g.Trace.consistent;
+      Alcotest.check named (at "raw_inputs") w.Trace.raw_inputs
+        g.Trace.raw_inputs)
+    want.Trace.steps got.Trace.steps;
+  Alcotest.(check bool) "replays" true (Engine.replay model got)
+
 let test_gave_up_on_tiny_budget () =
   let r =
     V.run ~bug:Bug.Bug_add ~method_:V.Sqed ~bound:12 ~max_conflicts:100 cfg
@@ -264,6 +379,8 @@ let suite =
     Alcotest.test_case "k-induction no-bug" `Slow test_kinduction_no_bug;
     Alcotest.test_case "k-induction base cex" `Slow test_kinduction_base_cex;
     Alcotest.test_case "budget exhaustion" `Quick test_gave_up_on_tiny_budget;
+    Alcotest.test_case "shared-evaluator trace extraction" `Slow
+      test_extract_trace_shared_eval;
     Alcotest.test_case "synthesized table verifies" `Slow
       test_synthesized_table_verifies;
   ]

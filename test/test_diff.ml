@@ -15,19 +15,22 @@ let close = Alcotest.(check (float 1e-9))
 (* -- payload builders ---------------------------------------------------- *)
 
 (* A bench-summary shape: experiment records + counters. *)
-let bench_payload ?(name = "fig3") ~wall ~clauses ~conflicts () =
+let bench_payload ?(name = "fig3") ?cpu ~wall ~clauses ~conflicts () =
   Json.Obj
     [
       ( "experiments",
         Json.List
           [
             Json.Obj
-              [
-                ("name", Json.String name);
-                ("wall_s", Json.Float wall);
-                ("clauses", Json.Int clauses);
-                ("conflicts", Json.Int conflicts);
-              ];
+              ([
+                 ("name", Json.String name);
+                 ("wall_s", Json.Float wall);
+                 ("clauses", Json.Int clauses);
+                 ("conflicts", Json.Int conflicts);
+               ]
+              @ Option.fold ~none:[]
+                  ~some:(fun c -> [ ("cpu_s", Json.Float c) ])
+                  cpu);
           ] );
       ( "metrics",
         Json.Obj
@@ -126,9 +129,13 @@ let test_band_jitter_tolerance () =
 let test_metrics_of_payload () =
   let ms =
     Diff.metrics_of_payload
-      (bench_payload ~wall:42.0 ~clauses:120_000 ~conflicts:3_000 ())
+      (bench_payload ~cpu:40.0 ~wall:42.0 ~clauses:120_000 ~conflicts:3_000
+         ())
   in
   close "experiment wall" 42.0 (List.assoc "exp.fig3.wall_s" ms);
+  close "experiment cpu" 40.0 (List.assoc "exp.fig3.cpu_s" ms);
+  Alcotest.(check bool) "experiment cpu is gated" true
+    (Diff.gated "exp.fig3.cpu_s");
   close "experiment clauses" 120_000.0 (List.assoc "exp.fig3.clauses" ms);
   close "experiment conflicts" 3_000.0 (List.assoc "exp.fig3.conflicts" ms);
   close "counters flatten" 1000.0 (List.assoc "counter.sat.decisions" ms);

@@ -167,6 +167,137 @@ let test_restore_on_add () =
   Sat.add_clause s [ Sat.neg_of_var a ];
   Alcotest.(check bool) "restored semantics" true (Sat.solve s = Sat.Unsat)
 
+(* -- restore closure ------------------------------------------------------ *)
+
+(* Two disjoint implication chains v0 -> v1 -> ... -> v(n-1) with both
+   ends frozen.  Elimination takes the inner variables in index order,
+   each resolvent carrying the chain on, so an inner variable's stored
+   clauses mention its successor: restoring v1 brings back every later
+   inner variable of its own chain and nothing of the other chain. *)
+let chains ~n =
+  let s = Sat.create () in
+  Sat.set_simplify s true;
+  let chain () = Array.init n (fun _ -> Sat.new_var s) in
+  let x = chain () in
+  let y = chain () in
+  let clauses = ref [] in
+  let add c =
+    clauses := c :: !clauses;
+    Sat.add_clause s c
+  in
+  List.iter
+    (fun v ->
+      for i = 0 to n - 2 do
+        add [ Sat.neg_of_var v.(i); Sat.pos v.(i + 1) ]
+      done;
+      Sat.freeze s v.(0);
+      Sat.freeze s v.(n - 1))
+    [ x; y ];
+  Sat.simplify_now s;
+  (s, x, y, clauses)
+
+let inner v = Array.to_list (Array.sub v 1 (Array.length v - 2))
+
+let check_elim s name vars expected =
+  List.iter
+    (fun v ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: var %d eliminated" name v)
+        expected (Sat.is_eliminated s v))
+    vars
+
+let sat_result =
+  Alcotest.testable
+    (Fmt.of_to_string (function
+      | Sat.Sat -> "SAT"
+      | Sat.Unsat -> "UNSAT"
+      | Sat.Unknown -> "UNKNOWN"))
+    ( = )
+
+let satisfies s clauses =
+  List.for_all
+    (List.exists (fun l ->
+         let b = Sat.value s (l lsr 1) in
+         if l land 1 = 0 then b else not b))
+    clauses
+
+let test_restore_exact_closure () =
+  let s, x, y, clauses = chains ~n:6 in
+  check_elim s "after pass" (inner x @ inner y) true;
+  (* A clause on the last inner variable of x re-opens it alone: its
+     stored clauses mention only frozen x5 and nothing eliminated. *)
+  let c1 = [ Sat.pos x.(4); Sat.pos x.(0) ] in
+  Sat.add_clause s c1;
+  check_elim s "x4 restored" [ x.(4) ] false;
+  check_elim s "x1..x3 untouched" [ x.(1); x.(2); x.(3) ] true;
+  check_elim s "y untouched" (inner y) true;
+  (* A clause on x2 re-opens x2 and x3 (x4 is live already), not x1. *)
+  let c2 = [ Sat.neg_of_var x.(2); Sat.pos y.(0) ] in
+  Sat.add_clause s c2;
+  check_elim s "x2, x3 restored" [ x.(2); x.(3) ] false;
+  check_elim s "x1 untouched" [ x.(1) ] true;
+  check_elim s "y still untouched" (inner y) true;
+  Alcotest.check sat_result "sat" Sat.Sat (Sat.solve s);
+  Alcotest.(check bool) "model satisfies every clause" true
+    (satisfies s (c1 :: c2 :: !clauses))
+
+let test_restore_reeliminate () =
+  (* Eliminate, restore, eliminate again: the first elimination's stack
+     entries retire but stay on the stack (y's live entries outnumber
+     them), and model extension must use only the new ones. *)
+  let s, x, y, clauses = chains ~n:6 in
+  check_elim s "after pass" (inner x @ inner y) true;
+  let c = [ Sat.neg_of_var x.(1); Sat.pos y.(5) ] in
+  Sat.add_clause s c;
+  check_elim s "x restored" (inner x) false;
+  check_elim s "y untouched" (inner y) true;
+  Sat.simplify_now s;
+  Alcotest.(check bool) "x re-eliminated" true
+    (List.exists (Sat.is_eliminated s) (inner x));
+  List.iter
+    (fun assumptions ->
+      Alcotest.check sat_result "sat" Sat.Sat (Sat.solve ~assumptions s);
+      Alcotest.(check bool) "model satisfies every original clause" true
+        (satisfies s (c :: !clauses)))
+    [ []; [ Sat.pos x.(0) ]; [ Sat.neg_of_var x.(5) ] ]
+
+let test_clone_after_partial_restore () =
+  (* The second restore leaves more retired stack entries than live ones,
+     so both solvers also compact their stacks. *)
+  let s, x, y, clauses = chains ~n:6 in
+  let c1 = [ Sat.pos x.(3); Sat.pos y.(0) ] in
+  Sat.add_clause s c1;
+  check_elim s "partial restore" [ x.(3); x.(4) ] false;
+  check_elim s "x1, x2 still eliminated" [ x.(1); x.(2) ] true;
+  let c = Sat.clone s in
+  (* Both sides re-open x1 and y3 through the same clause: the clone
+     restores from its own copy of the index. *)
+  let c2 = [ Sat.pos x.(1); Sat.neg_of_var y.(3) ] in
+  Sat.add_clause s c2;
+  Sat.add_clause c c2;
+  List.iter
+    (fun (name, t) ->
+      check_elim t (name ^ " restored") [ x.(1); x.(2); y.(3); y.(4) ] false;
+      check_elim t (name ^ " y1, y2 untouched") [ y.(1); y.(2) ] true)
+    [ ("master", s); ("clone", c) ];
+  let all = c1 :: c2 :: !clauses in
+  List.iter
+    (fun assumptions ->
+      let r = Sat.solve ~assumptions s in
+      Alcotest.check sat_result "clone verdict = master" r
+        (Sat.solve ~assumptions c);
+      if r = Sat.Sat then
+        Alcotest.(check bool) "clone model satisfies every clause" true
+          (satisfies c all))
+    [
+      [];
+      (* y1, y2 are still eliminated: y0 forces their extended values. *)
+      [ Sat.pos y.(0) ];
+      [ Sat.pos x.(0); Sat.neg_of_var x.(5) ];
+      [ Sat.neg_of_var x.(3); Sat.neg_of_var y.(0) ];
+      [ Sat.neg_of_var x.(1); Sat.pos y.(3); Sat.neg_of_var y.(5) ];
+    ]
+
 (* -- QF_BV differential ------------------------------------------------- *)
 
 let random_term rng vars depth width =
@@ -266,5 +397,11 @@ let suite =
       test_standalone_run;
     Alcotest.test_case "frozen vars survive" `Quick test_frozen_not_eliminated;
     Alcotest.test_case "restore on direct add" `Quick test_restore_on_add;
+    Alcotest.test_case "restore touches only the closure" `Quick
+      test_restore_exact_closure;
+    Alcotest.test_case "eliminate, restore, re-eliminate" `Quick
+      test_restore_reeliminate;
+    Alcotest.test_case "clone after a partial restore" `Quick
+      test_clone_after_partial_restore;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) props
