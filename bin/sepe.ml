@@ -137,13 +137,23 @@ let bugs_cmd =
 
 let synth_cmd =
   let case =
+    let names =
+      List.map Sqed_isa.Insn.rop_name Sqed_isa.Insn.all_rops
+      @ List.map Sqed_isa.Insn.iop_name Sqed_isa.Insn.all_iops
+    in
     Arg.(
-      value & opt string "SUB"
-      & info [ "case" ] ~docv:"INSN" ~doc:"Original instruction to synthesize.")
+      value
+      & opt (enum (List.map (fun n -> (n, n)) names)) "SUB"
+      & info [ "case" ] ~docv:"INSN"
+          ~doc:"Original instruction to synthesize (an R- or I-type mnemonic).")
   in
   let engine =
     Arg.(
-      value & opt string "hpf"
+      value
+      & opt
+          (enum
+             [ ("hpf", `Hpf); ("iterative", `Iterative); ("classical", `Classical) ])
+          `Hpf
       & info [ "engine" ] ~doc:"Synthesis engine: hpf, iterative or classical.")
   in
   let xlen = Arg.(value & opt int 8 & info [ "xlen" ] ~doc:"Synthesis width.") in
@@ -168,7 +178,7 @@ let synth_cmd =
     in
     let library = Synth.Library_.default in
     match engine with
-    | "classical" ->
+    | `Classical ->
         let outcome, stats, elapsed =
           Synth.Brahma.synthesize ~options ~spec ~library
         in
@@ -179,15 +189,16 @@ let synth_cmd =
           | Synth.Brahma.Budget_exhausted -> "budget exhausted"
           | Synth.Brahma.No_program -> "no program")
           elapsed stats.Synth.Cegis.solver_calls
-    | "hpf" | "iterative" ->
-        let r =
-          if engine = "hpf" then
-            Synth.Hpf.synthesize ~options ~spec ~library ()
-          else Synth.Iterative.synthesize ~options ~spec ~library
+    | (`Hpf | `Iterative) as engine ->
+        let name, r =
+          match engine with
+          | `Hpf -> ("hpf", Synth.Hpf.synthesize ~options ~spec ~library ())
+          | `Iterative ->
+              ("iterative", Synth.Iterative.synthesize ~options ~spec ~library)
         in
         Printf.printf
           "%s on %s: %d programs in %.2fs (%d/%d multisets, %d solver calls)\n"
-          engine case
+          name case
           (List.length r.Synth.Engine.programs)
           r.Synth.Engine.elapsed
           r.Synth.Engine.stats.Synth.Cegis.multisets_tried
@@ -196,7 +207,6 @@ let synth_cmd =
         List.iter
           (fun p -> Printf.printf "  %s\n" (Synth.Program.to_string p))
           r.Synth.Engine.programs
-    | other -> Printf.eprintf "unknown engine %S\n" other
   in
   Cmd.v
     (info "synth" ~doc:"Synthesize semantically equivalent programs.")

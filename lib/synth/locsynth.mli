@@ -22,4 +22,18 @@ val synthesize :
   Program.t list * outcome
 (** Verified programs, wiring-distinct (each solution's location
     assignment is blocked before searching for the next).  [deadline] is
-    an absolute [Unix.gettimeofday] instant. *)
+    an absolute [Unix.gettimeofday] instant.
+
+    Refutation probe: before the full session (all of
+    {!Cegis.initial_examples}), the same encoding is built over only the
+    last two seed examples, the pseudo-random ones, and checked once.  If
+    that check is UNSAT the multiset is refuted and the result is
+    [([], Complete)]; the counter [synth.probe_refuted] counts these.
+    The probe asserts a subset of the full session's constraints, so the
+    full session's first check would have been UNSAT too, or would have
+    run out of conflicts or time first ([Budget_exhausted] then, with no
+    programs either way).  Otherwise the
+    probe is dropped and the full session runs exactly as without it: the
+    programs, their order and the outcome do not depend on the probe.
+    The probe's check counts as one solver call and one CEGIS iteration
+    in [stats] and in the [synth.*] counters. *)

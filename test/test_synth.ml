@@ -329,6 +329,97 @@ let program_to_insns_roundtrip =
           List.iter (Exec.exec st) insns;
           Bv.equal (Exec.reg st 10) (Bv.add a b))
 
+(* ---------------------------------------------------------------- *)
+(* Locsynth refutation probe                                         *)
+(* ---------------------------------------------------------------- *)
+
+(* Before building a multiset's full session, Locsynth checks the
+   encoding over the two random seed examples alone and stops on UNSAT.
+   A multiset the probe passes runs the full session unchanged, so both
+   engines must return exactly the programs (in order) and try exactly
+   the multisets they did before the probe existed. *)
+let test_probe_keeps_programs () =
+  let options =
+    {
+      Synth.Engine.default_options with
+      Synth.Engine.k = 2;
+      seed = 1;
+      time_budget = None;
+      config = { Synth.Cegis.default_config with Synth.Cegis.xlen = 4 };
+    }
+  in
+  let library = Synth.Library_.default in
+  let check name (r : Synth.Engine.result) multisets programs =
+    Alcotest.(check int) (name ^ ": multisets tried") multisets
+      r.Synth.Engine.stats.Synth.Cegis.multisets_tried;
+    Alcotest.(check (list string)) (name ^ ": programs") programs
+      (List.map Synth.Program.to_string r.Synth.Engine.programs)
+  in
+  let hpf case =
+    Synth.Hpf.synthesize ~options ~spec:(Synth.Library_.spec case) ~library ()
+  in
+  let iterative case =
+    Synth.Iterative.synthesize ~options ~spec:(Synth.Library_.spec case)
+      ~library
+  in
+  check "hpf SUB" (hpf "SUB") 98
+    [
+      "t0 = SLTIU##0(in1); t1 = MULC#15(in1); t2 = ADD3(t0, in0, t1)";
+      "t0 = SLTIU##0(in0); t1 = MULC#15(in1); t2 = ADD3(t0, in0, t1)";
+      "t0 = SLTIU##0(in0); t1 = MULC#15(in1); t2 = ADD3(in0, t0, t1)";
+      "t0 = SLTIU##0(in1); t1 = MULC#15(in1); t2 = ADD3(in0, t0, t1)";
+    ];
+  check "iterative SUB" (iterative "SUB") 460
+    [
+      "t0 = MULC#15(in1); t1 = ADD(in0, t0)";
+      "t0 = MULC#15(in1); t1 = ADD(t0, in0)";
+      "t0 = NOT(in1); t1 = ADDI##1(t0); t2 = ADD(t1, in0)";
+      "t0 = NOT(in1); t1 = ADDI##1(in0); t2 = ADD(t1, t0)";
+      "t0 = ADDI##1(in0); t1 = NOT(in1); t2 = ADD(t1, t0)";
+      "t0 = NOT(in1); t1 = ADD(in0, t0); t2 = ADDI##1(t1)";
+    ];
+  check "hpf OR" (hpf "OR") 138
+    [
+      "t0 = ANDN(in0, in1); t1 = ANDN(t0, in1); t2 = XOR(t1, in1)";
+      "t0 = ANDN(in1, in0); t1 = ANDN(t0, in0); t2 = XOR(t1, in0)";
+      "t0 = ANDN(in1, in0); t1 = ANDN(in0, t0); t2 = XOR(t0, t1)";
+      "t0 = ANDN(in0, in1); t1 = ANDN(in1, t0); t2 = XOR(t0, t1)";
+    ];
+  check "iterative OR" (iterative "OR") 106
+    [
+      "t0 = ANDN(in0, in1); t1 = ANDN(in1, in1); t2 = ADD3(in1, t1, t0)";
+      "t0 = ANDN(in0, in1); t1 = ANDN(in0, in0); t2 = ADD3(in1, t1, t0)";
+      "t0 = ANDN(in0, in0); t1 = ANDN(in0, in1); t2 = ADD3(in1, t1, t0)";
+      "t0 = ANDN(in1, in1); t1 = ANDN(in0, in1); t2 = ADD3(in1, t1, t0)";
+    ]
+
+(* ADD cannot be built from AND and OR, and the two random seed examples
+   already show it: the probe's single check refutes the multiset, and
+   the full session is never built. *)
+let test_probe_refutes () =
+  let module Metrics = Sqed_obs.Metrics in
+  let was_enabled = !Metrics.enabled in
+  Metrics.enabled := true;
+  Fun.protect ~finally:(fun () -> Metrics.enabled := was_enabled)
+  @@ fun () ->
+  let spec = Synth.Library_.spec "ADD" in
+  let ms = [ Synth.Library_.find "AND"; Synth.Library_.find "OR" ] in
+  let st = Synth.Cegis.mk_stats () in
+  let refuted0 = Metrics.find_counter "synth.probe_refuted" in
+  let found, outcome =
+    Synth.Locsynth.synthesize ~config:cfg ~spec ~components:ms
+      ~require_all_used:true ~max_programs:1 ~stats:st ()
+  in
+  Alcotest.(check (list string)) "no program" []
+    (List.map Synth.Program.to_string found);
+  Alcotest.(check bool) "complete" true (outcome = Synth.Locsynth.Complete);
+  Alcotest.(check int) "probe refuted it" 1
+    (Metrics.find_counter "synth.probe_refuted" - refuted0);
+  Alcotest.(check int) "one check: the probe's" 1
+    st.Synth.Cegis.solver_calls;
+  Alcotest.(check int) "one iteration" 1 st.Synth.Cegis.cegis_iterations;
+  Alcotest.(check int) "one multiset" 1 st.Synth.Cegis.multisets_tried
+
 let suite =
   [
     Alcotest.test_case "library composition" `Quick test_library_composition;
@@ -345,6 +436,10 @@ let suite =
     Alcotest.test_case "cegis rejects wrong" `Quick test_cegis_rejects_wrong;
     Alcotest.test_case "priority formula" `Quick test_priority_formula;
     Alcotest.test_case "brahma small library" `Quick test_brahma_small_library;
+    Alcotest.test_case "probe keeps the synthesized programs" `Quick
+      test_probe_keeps_programs;
+    Alcotest.test_case "probe refutes add from and/or" `Quick
+      test_probe_refutes;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
       (component_props
