@@ -226,7 +226,8 @@ type t = {
   mutable n_elim : int;
   mutable simplify_on : bool;
   mutable clauses_at_simplify : int;
-  mutable n_solves : int;
+  mutable conflicts_at_simplify : int;
+  mutable n_solves : int; (* completed [solve] calls (and [prepare]s) *)
   (* Installed resource budget (deadline + conflict cap), merged with the
      ambient per-task budget at every cooperative cancellation point. *)
   mutable budget : Budget.t;
@@ -301,6 +302,7 @@ let create () =
     n_elim = 0;
     simplify_on = false;
     clauses_at_simplify = 0;
+    conflicts_at_simplify = 0;
     n_solves = 0;
     budget = Budget.unlimited;
     strat = default_strategy;
@@ -1023,7 +1025,8 @@ let simplify_body s =
         if propagate s >= 0 then s.ok <- false
       end;
       maybe_compact s;
-      s.clauses_at_simplify <- s.clauses.Ivec.sz
+      s.clauses_at_simplify <- s.clauses.Ivec.sz;
+      s.conflicts_at_simplify <- s.n_conflicts
     end
   end
 
@@ -1035,14 +1038,28 @@ let simplify_now s =
    re-simplifies. *)
 let simplify_threshold = 256
 
-(* A pass costs a full rebuild of the clause database, so [solve] only
-   triggers one automatically where the investment amortizes: on solvers
-   that are being *re*-solved incrementally (BMC depth sweeps, the CEGIS
-   guess loop), never on a freshly-built one-shot query — those are
-   dominated by encoding time and die after one search, so stripping
-   their Tseitin plumbing costs more than it saves.  Re-triggering is
-   geometric (the database must grow by a quarter since the last pass)
-   so long incremental runs pay O(log growth) passes, not one per batch.
+(* Search effort a pass must wait for: one conflict since the last pass
+   (or since the solver was built) per this many problem clauses. *)
+let simplify_clauses_per_conflict = 200
+
+(* A pass costs a full rebuild of the clause database, so [solve] runs
+   one only where the investment amortizes.  [solve] asks at every
+   restart boundary, solve entry included (round 0); a pass runs when
+   - the instance is not in its first solve: a freshly-built one-shot
+     query is dominated by encoding time and dies after one search, so a
+     pass in the middle of it costs more than it saves;
+   - there is new material: the database grew by [simplify_threshold]
+     clauses and by a quarter since the last pass, so long incremental
+     runs pay O(log growth) passes and a re-solve with no new clauses
+     pays none;
+   - the search has earned it: a pass costs time linear in the clause
+     database, so the conflicts since the last pass must reach one per
+     [simplify_clauses_per_conflict] problem clauses.  A shallow SAT
+     query (a BMC depth whose witness costs a few hundred conflicts over
+     50-100 k clauses) never pays for a pass that would cost more than
+     its whole search, while a hard UNSAT depth gets its pass a few
+     restarts in, and a small CEGIS guess solver after a few dozen
+     conflicts.
    One-shot callers that do want a pass (DIMACS solving, tests) call
    [simplify_now] explicitly. *)
 let maybe_simplify s =
@@ -1050,6 +1067,8 @@ let maybe_simplify s =
     s.simplify_on && s.ok && s.trail_lim_sz = 0 && s.n_solves > 0
     && s.clauses.Ivec.sz - s.clauses_at_simplify
        >= max simplify_threshold (s.clauses_at_simplify / 4)
+    && (s.n_conflicts - s.conflicts_at_simplify) * simplify_clauses_per_conflict
+       >= s.clauses.Ivec.sz
   then Trace.with_span sp_simplify (fun () -> simplify_body s)
 
 (* Extend a model of the simplified formula to the eliminated variables.
@@ -1434,8 +1453,6 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
        earlier pass removed and pin them against future passes. *)
     Array.iter (fun a -> freeze s (var_of a)) assumptions;
     if propagate s >= 0 then s.ok <- false;
-    maybe_simplify s;
-    s.n_solves <- s.n_solves + 1;
     if not s.ok then Unsat
     else begin
       let restart_limit = ref 0.0 in
@@ -1456,6 +1473,8 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
             incr round;
             conflicts_here := 0;
             cancel_until s 0;
+            maybe_simplify s;
+            if not s.ok then raise (Found Unsat);
             (* Restart boundary: cheap, and restarts fire every ~100+
                conflicts, so propagation-heavy instances that rarely hit
                the modular conflict check still see the deadline here.
@@ -1560,6 +1579,7 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
       (* [cancel_until 0] restores the solver to its root state, so an
          interrupted (Unknown) solver remains fully reusable. *)
       cancel_until s 0;
+      s.n_solves <- s.n_solves + 1;
       let used = s.n_conflicts - start_conflicts in
       Budget.charge s.budget used;
       Budget.charge task_budget used;
@@ -1611,10 +1631,12 @@ let solve ?assumptions ?max_conflicts ?deadline s =
 (* Run the pre-search phase of [solve] on the master solver so portfolio
    workers clone the *post-preprocessing* clause database: assumption
    variables frozen (and restored if eliminated), level-0 propagation at
-   fixpoint, and the same auto-simplify decision an ordinary [solve]
-   would have made — including the [n_solves] bump that keeps the
-   "first solve never simplifies" heuristic intact for portfolio
-   queries.  Returns [false] when the instance is already UNSAT. *)
+   fixpoint, and the auto-simplify decision an ordinary [solve] makes at
+   its entry boundary.  Workers never simplify, so this is the portfolio
+   query's only chance at a pass.  The master does not search itself, so
+   [prepare] counts as its solve: the [n_solves] bump makes the query
+   after this one eligible, exactly as a completed [solve] would.
+   Returns [false] when the instance is already UNSAT. *)
 let prepare ?(assumptions = []) s =
   s.has_model <- false;
   s.last_interrupt <- None;
@@ -1658,10 +1680,11 @@ let clone s =
   c.ok <- s.ok;
   c.max_learnts <- s.max_learnts;
   (* Workers never re-simplify: a mid-search pass would rebuild the
-     clause database under the exchange buffer's feet, and the master
-     already ran the profitable pass in [prepare]. *)
+     clause database under the exchange buffer's feet, so the master's
+     [prepare] makes the query's one pass decision. *)
   c.simplify_on <- false;
   c.clauses_at_simplify <- s.clauses_at_simplify;
+  c.conflicts_at_simplify <- s.conflicts_at_simplify;
   c.n_solves <- s.n_solves;
   let wlen = Array.length s.watches in
   c.watches <- Array.init wlen (fun _ -> Ivec.create ());

@@ -68,13 +68,17 @@ val add_clause_a : t -> lit array -> unit
     defining clauses first, so the incremental API keeps its meaning. *)
 
 val set_simplify : t -> bool -> unit
-(** Enable/disable automatic simplification.  When enabled, [solve] runs
-    a pass on solvers that are being re-solved incrementally, once enough
-    new problem clauses have arrived since the last pass (the database
-    must also have grown geometrically, so long runs pay few passes).
-    The very first [solve] of a fresh instance never simplifies — one-shot
-    queries are encoding-bound and a pass would cost more than it saves;
-    use {!simplify_now} to force one. *)
+(** Enable/disable automatic simplification.  When enabled, [solve] may
+    run a pass at any restart boundary, solve entry included, of an
+    instance that has already been solved once.  A pass runs only when
+    the problem database has grown since the last pass (by 256 clauses
+    and by a quarter, so long incremental runs pay few passes) and the
+    search has spent one conflict per 200 problem clauses since then (a
+    pass costs time linear in the database, so a shallow re-solve of a
+    large instance never pays for one).  The very first [solve] of a
+    fresh instance never simplifies — one-shot queries are
+    encoding-bound and a pass would cost more than it saves; use
+    {!simplify_now} to force one. *)
 
 val simplify_now : t -> unit
 (** Run one simplification pass immediately (no-op unless the solver is

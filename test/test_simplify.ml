@@ -298,6 +298,81 @@ let test_clone_after_partial_restore () =
       [ Sat.neg_of_var x.(1); Sat.pos y.(3); Sat.neg_of_var y.(5) ];
     ]
 
+(* -- pass schedule -------------------------------------------------------- *)
+
+(* Pigeonhole PHP(n+1, n) behind an activation literal [a]: every clause
+   carries [~a], so the block is free to switch off and UNSAT under the
+   assumption [a], after a few thousand conflicts for n = 7. *)
+let pigeonhole s ~holes =
+  let a = Sat.new_var s in
+  let x =
+    Array.init (holes + 1) (fun _ -> Array.init holes (fun _ -> Sat.new_var s))
+  in
+  let clauses = ref [] in
+  let add c =
+    let c = Sat.neg_of_var a :: c in
+    clauses := c :: !clauses;
+    Sat.add_clause s c
+  in
+  Array.iter (fun p -> add (Array.to_list (Array.map Sat.pos p))) x;
+  for h = 0 to holes - 1 do
+    for i = 0 to holes do
+      for j = i + 1 to holes do
+        add [ Sat.neg_of_var x.(i).(h); Sat.neg_of_var x.(j).(h) ]
+      done
+    done
+  done;
+  (a, !clauses)
+
+(* [solve] runs a pass at a restart boundary only once the instance is
+   past its first solve, has grown since the last pass, and the search has
+   spent one conflict per 200 problem clauses since then: a shallow
+   re-solve pays nothing, a hard one pays exactly one pass, and a re-solve
+   with nothing new pays none however hard it searches. *)
+let test_pass_schedule () =
+  let module Metrics = Sqed_obs.Metrics in
+  let was_enabled = !Metrics.enabled in
+  Metrics.enabled := true;
+  Fun.protect ~finally:(fun () -> Metrics.enabled := was_enabled)
+  @@ fun () ->
+  let passes () = Metrics.find_counter "sat.simplify.passes" in
+  let conflicts s = (Sat.stats s).Sat.conflicts in
+  let s = Sat.create () in
+  Sat.set_simplify s true;
+  let p = Sat.new_var s and q = Sat.new_var s in
+  let base = [ [ Sat.pos p; Sat.pos q ]; [ Sat.neg_of_var p; Sat.pos q ] ] in
+  List.iter (Sat.add_clause s) base;
+  let p0 = passes () in
+  Alcotest.check sat_result "first solve" Sat.Sat (Sat.solve s);
+  Alcotest.(check bool) "first model" true (satisfies s base);
+  (* 408 new clauses: enough material for a pass, which the search earns
+     with its third conflict. *)
+  let a1, php1 = pigeonhole s ~holes:7 in
+  let a2, php2 = pigeonhole s ~holes:7 in
+  let all = base @ php1 @ php2 in
+  let earned c = c * 200 >= Sat.num_clauses s in
+  let c0 = conflicts s in
+  Alcotest.check sat_result "blocks off" Sat.Sat
+    (Sat.solve ~assumptions:[ Sat.neg_of_var a1; Sat.neg_of_var a2 ] s);
+  Alcotest.(check bool) "shallow re-solve: pass not earned" false
+    (earned (conflicts s - c0));
+  Alcotest.(check int) "shallow re-solve: no pass" 0 (passes () - p0);
+  Alcotest.(check bool) "blocks-off model" true (satisfies s all);
+  let c1 = conflicts s in
+  Alcotest.check sat_result "first block on" Sat.Unsat
+    (Sat.solve ~assumptions:[ Sat.pos a1 ] s);
+  Alcotest.(check bool) "hard re-solve: pass earned" true
+    (earned (conflicts s - c1));
+  Alcotest.(check int) "hard re-solve: one pass" 1 (passes () - p0);
+  let c2 = conflicts s in
+  Alcotest.check sat_result "second block on" Sat.Unsat
+    (Sat.solve ~assumptions:[ Sat.pos a2 ] s);
+  Alcotest.(check bool) "no new clauses: pass earned" true
+    (earned (conflicts s - c2));
+  Alcotest.(check int) "no new clauses: no further pass" 1 (passes () - p0);
+  Alcotest.check sat_result "unconstrained" Sat.Sat (Sat.solve s);
+  Alcotest.(check bool) "final model" true (satisfies s all)
+
 (* -- QF_BV differential ------------------------------------------------- *)
 
 let random_term rng vars depth width =
@@ -403,5 +478,7 @@ let suite =
       test_restore_reeliminate;
     Alcotest.test_case "clone after a partial restore" `Quick
       test_clone_after_partial_restore;
+    Alcotest.test_case "passes wait for conflicts and new clauses" `Quick
+      test_pass_schedule;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) props
