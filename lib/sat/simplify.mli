@@ -25,8 +25,15 @@
 
     The pass is budgeted (bounded occurrence counts for elimination,
     capped subset checks, capped probe visits) so its cost stays linear-ish
-    in the formula size; it is designed to run in a few milliseconds on the
-    ~10k-clause bit-blasted CEGIS/BMC queries this repository issues. *)
+    in the formula size.  It allocates per pass, not per clause: a flat
+    literal store and pooled occurrence vectors, with only the outcome
+    copied out.  Measured on the bit-blasted BMC instances of
+    [sepebench refute] (~25 k clauses a pass) and [hunt] (39–57 k) on a
+    shared 2-vCPU VM, whole pass including the solver's extraction and
+    rebuild: about 60 ms a [refute] pass and 100–115 ms a [hunt] pass,
+    against 90–110 and 170–240 ms for the list-based pass it replaced;
+    a [refute] pass allocates 0.5 M minor words (the outcome) and 0.85 M
+    words of per-pass arrays, against 8.4 M and 0.1 M. *)
 
 type stats = {
   eliminated_vars : int;

@@ -425,6 +425,199 @@ let qfbv_differential seed =
   Solver.check ~assumptions:[ assum ] plain
   = Solver.check ~assumptions:[ assum ] simp
 
+(* -- pinned outcome -------------------------------------------------------- *)
+
+(* Everything an outcome says, in order: the clauses, the units, each
+   eliminated variable with its stored clauses, the verdict. *)
+let render (o : Simplify.outcome) =
+  let b = Buffer.create 4096 in
+  let clause c =
+    Array.iter (fun l -> Buffer.add_string b (string_of_int l ^ " ")) c;
+    Buffer.add_char b ';'
+  in
+  List.iter clause o.Simplify.clauses;
+  Buffer.add_string b "|units:";
+  List.iter (fun l -> Buffer.add_string b (string_of_int l ^ " ")) o.units;
+  Buffer.add_string b "|eliminated:";
+  List.iter
+    (fun (v, stored) ->
+      Buffer.add_string b (string_of_int v ^ "=");
+      List.iter clause stored;
+      Buffer.add_char b '/')
+    o.eliminated;
+  Buffer.add_string b (if o.unsat then "|unsat" else "|sat");
+  Buffer.contents b
+
+let render_stats (st : Simplify.stats) =
+  Printf.sprintf
+    "eliminated_vars=%d subsumed=%d strengthened=%d probe_failures=%d \
+     units=%d resolvents=%d"
+    st.Simplify.eliminated_vars st.subsumed st.strengthened st.probe_failures
+    st.units st.resolvents
+
+(* Random 3-SAT over [nvars] variables from a fixed linear congruential
+   stream, literals in the solver's [2v (+1)] encoding. *)
+let lcg_3sat ~seed ~nvars ~nclauses =
+  let st = ref seed in
+  let next () =
+    st := ((!st * 1103515245) + 12345) land 0x3fffffff;
+    !st lsr 8
+  in
+  List.init nclauses (fun _ ->
+      Array.init 3 (fun _ ->
+          let v = next () mod nvars in
+          (2 * v) + (next () land 1)))
+
+(* The bit-blasted clauses of the miter [x * y <> y * x] at width 6, as
+   DIMACS text from a solver that never runs a pass of its own. *)
+let mul_miter () =
+  let module Term = Smt.Term in
+  let module Solver = Smt.Solver in
+  let x = Term.var "x" 6 and y = Term.var "y" 6 in
+  let s =
+    Solver.create ~config:{ Solver.default_config with simplify = false } ()
+  in
+  Solver.assert_ s (Term.not_ (Term.eq (Term.mul x y) (Term.mul y x)));
+  match Sqed_sat.Dimacs.parse (Solver.to_dimacs s) with
+  | Error e -> Alcotest.fail e
+  | Ok cnf ->
+      ( cnf.Sqed_sat.Dimacs.num_vars,
+        List.map
+          (fun c ->
+            Array.of_list
+              (List.map
+                 (fun l -> if l > 0 then 2 * (l - 1) else (2 * (-l - 1)) + 1)
+                 c))
+          cnf.clauses )
+
+(* Two fixed inputs whose whole outcome is pinned: a change to the pass's
+   data layout must not move a clause, a unit, an elimination or a stored
+   clause.  The values are those of the list-based pass the flat store
+   replaced. *)
+let test_pinned_outcome () =
+  let check name ~nvars input ~digest ~stats =
+    let o = Simplify.run ~nvars ~frozen:(fun _ -> false) input in
+    Alcotest.(check string) (name ^ ": stats") stats (render_stats o.stats);
+    Alcotest.(check string)
+      (name ^ ": outcome digest")
+      digest
+      (Digest.to_hex (Digest.string (render o)))
+  in
+  check "3-SAT" ~nvars:60
+    (lcg_3sat ~seed:11 ~nvars:60 ~nclauses:150)
+    ~digest:"13ba44771d448666cc2ae0f2e2962176"
+    ~stats:
+      "eliminated_vars=18 subsumed=1 strengthened=0 probe_failures=0 \
+       units=0 resolvents=32";
+  let nvars, miter = mul_miter () in
+  check "mul miter" ~nvars miter ~digest:"e221730c952fbdc44bd706b1079bc6d5"
+    ~stats:
+      "eliminated_vars=49 subsumed=0 strengthened=0 probe_failures=0 \
+       units=2 resolvents=218"
+
+(* -- degraded passes -------------------------------------------------------- *)
+
+let lit_true m l = (m lsr (l lsr 1)) land 1 = 1 - (l land 1)
+let satisfies_all m cls = List.for_all (Array.exists (lit_true m)) cls
+
+(* The first assignment (as a bit mask over [nvars] <= 14 variables)
+   that satisfies every clause. *)
+let brute_force ~nvars cls =
+  let rec go m =
+    if m >= 1 lsl nvars then None
+    else if satisfies_all m cls then Some m
+    else go (m + 1)
+  in
+  go 0
+
+(* Extend a model through [eliminated] newest first, as the CDCL core
+   does: an eliminated variable is false unless one of its stored
+   clauses needs it true. *)
+let extend_model m eliminated =
+  List.fold_left
+    (fun m (v, stored) ->
+      let m = m land lnot (1 lsl v) in
+      let needs_true c =
+        Array.mem (2 * v) c
+        && not (Array.exists (fun l -> l lsr 1 <> v && lit_true m l) c)
+      in
+      if List.exists needs_true stored then m lor (1 lsl v) else m)
+    m (List.rev eliminated)
+
+(* Random 2- and 3-literal clauses over 12 variables: enough binary
+   clauses for probing, few enough for elimination to take every
+   variable. *)
+let small_cnf seed =
+  let rng = Random.State.make [| seed |] in
+  List.init 26 (fun _ ->
+      Array.init
+        (2 + Random.State.int rng 2)
+        (fun _ -> (2 * Random.State.int rng 12) + Random.State.int rng 2))
+
+(* A [stop] that turns true after [k] polls stops the pass in the probe,
+   subsumption or elimination stage; whatever it returns must still be
+   sound: no eliminated variable left in [clauses], [clauses] plus
+   [units] equisatisfiable with the input, and a model of them extended
+   through [eliminated] a model of the input. *)
+let test_stop_degradation () =
+  let nvars = 12 in
+  let work = Array.make 3 0 in
+  List.iter
+    (fun seed ->
+      let input = small_cnf seed in
+      let fresh () = List.map Array.copy input in
+      let polls = ref 0 in
+      let full =
+        Simplify.run ~nvars ~frozen:(fun _ -> false)
+          ~stop:(fun () ->
+            incr polls;
+            false)
+          (fresh ())
+      in
+      let st = full.stats in
+      work.(0) <- work.(0) + st.Simplify.probe_failures;
+      work.(1) <- work.(1) + st.subsumed + st.strengthened;
+      work.(2) <- work.(2) + st.eliminated_vars;
+      let total = !polls in
+      let input_sat = brute_force ~nvars input <> None in
+      for k = 0 to total do
+        let n = ref 0 in
+        let o =
+          Simplify.run ~nvars ~frozen:(fun _ -> false)
+            ~stop:(fun () ->
+              incr n;
+              !n > k)
+            (fresh ())
+        in
+        let name = Printf.sprintf "seed %d, stop after %d polls" seed k in
+        let elim = List.map fst o.eliminated in
+        List.iter
+          (fun c ->
+            Array.iter
+              (fun l ->
+                if List.mem (l lsr 1) elim then
+                  Alcotest.failf "%s: eliminated var %d in clauses" name
+                    (l lsr 1))
+              c)
+          o.clauses;
+        let kept = List.map (fun l -> [| l |]) o.units @ o.clauses in
+        let model = if o.unsat then None else brute_force ~nvars kept in
+        Alcotest.(check bool)
+          (name ^ ": equisatisfiable")
+          input_sat (model <> None);
+        match model with
+        | None -> ()
+        | Some m ->
+            Alcotest.(check bool)
+              (name ^ ": extended model satisfies the input")
+              true
+              (satisfies_all (extend_model m o.eliminated) input)
+      done)
+    [ 1; 2; 3; 4; 5; 6 ];
+  Alcotest.(check bool)
+    "the inputs probe, subsume and eliminate" true
+    (Array.for_all (fun n -> n > 0) work)
+
 let props =
   let arb ~nvars ~max_len =
     QCheck.make ~print:cnf_print (gen_cnf ~nvars ~max_len)
@@ -482,3 +675,9 @@ let suite =
       test_pass_schedule;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) props
+  @ [
+      Alcotest.test_case "stop degrades to a sound outcome" `Quick
+        test_stop_degradation;
+      Alcotest.test_case "pinned outcome (3-SAT, mul miter)" `Quick
+        test_pinned_outcome;
+    ]
