@@ -713,7 +713,7 @@ let () =
     $ opt
         (checked Arg.float "a non-negative factor" (fun f -> f >= 0.0))
         0.0 "handicap" "F"
-        "Sleep $(docv) times each experiment's measured wall before \
+        "Burn $(docv) times each experiment's measured CPU time before \
          recording it, to show that the $(b,--baseline) sentinel trips.")
   |> Cmd.v
        (Cmd.info "bench" ~exits:Session.exits

@@ -1,9 +1,9 @@
 (* Structured event log with an always-on bounded ring.
 
-   Same shape as [Trace]: each domain appends to its own ring buffer
-   (registered in a global list that outlives the domain) so emission
-   takes no lock; [tail] merges and sorts on demand. The sink is the
-   only shared mutable channel and is written under a mutex. *)
+   Same shape as [Trace]: each domain appends to its own [Ring]
+   (registered so it outlives the domain) so emission takes no lock;
+   [tail] merges and sorts on demand. The sink is the only shared
+   mutable channel and is written under a mutex. *)
 
 type level = Debug | Info | Warn | Error
 
@@ -27,8 +27,6 @@ type event = {
 let m_records = Metrics.counter "obs.log.records"
 let m_dropped = Metrics.counter "obs.log.dropped"
 
-let epoch = ref (Unix.gettimeofday ())
-
 (* Records at [capture_level] or above reach the ring.  Info+ is always
    on (the ring exists precisely so a crash has something to dump); the
    threshold only drops to Debug while a Debug sink is attached. *)
@@ -39,38 +37,13 @@ let logs lvl = int_of_level lvl >= !capture_level
 
 let ring_capacity = 512
 
-type ring = {
-  r_dom : int;
-  mutable r_buf : event array; (* [||] until the first push *)
-  mutable r_next : int;
-  mutable r_count : int; (* total pushes, may exceed the cap *)
-}
+let rings =
+  Ring.per_domain (fun () ->
+      Ring.create
+        ~on_drop:(fun () -> Metrics.add_always m_dropped 1)
+        ring_capacity)
 
-let rings_mu = Mutex.create ()
-let rings : ring list ref = ref []
-
-let ring_key =
-  Domain.DLS.new_key (fun () ->
-      let r =
-        { r_dom = (Domain.self () :> int); r_buf = [||]; r_next = 0; r_count = 0 }
-      in
-      Mutex.lock rings_mu;
-      rings := r :: !rings;
-      Mutex.unlock rings_mu;
-      r)
-
-let push r ev =
-  if Array.length r.r_buf = 0 then r.r_buf <- Array.make ring_capacity ev
-  else begin
-    if r.r_count >= ring_capacity then Metrics.add_always m_dropped 1;
-    r.r_buf.(r.r_next) <- ev
-  end;
-  r.r_next <- (r.r_next + 1) mod ring_capacity;
-  r.r_count <- r.r_count + 1
-
-let kept r =
-  if r.r_count >= Array.length r.r_buf then Array.to_list r.r_buf
-  else Array.to_list (Array.sub r.r_buf 0 r.r_count)
+let ring_key = Ring.key rings
 
 (* -- sink ---------------------------------------------------------------- *)
 
@@ -135,14 +108,14 @@ let emit level ev fields =
   if li >= !capture_level then begin
     let e =
       {
-        lg_ts = (Unix.gettimeofday () -. !epoch) *. 1e6;
+        lg_ts = Ring.stamp (Unix.gettimeofday ());
         lg_dom = (Domain.self () :> int);
         lg_level = level;
         lg_ev = ev;
         lg_fields = fields;
       }
     in
-    push (Domain.DLS.get ring_key) e;
+    Ring.push (Domain.DLS.get ring_key) e;
     Metrics.add_always m_records 1;
     if !sink <> None && li >= !sink_level then write_sink e
   end
@@ -155,9 +128,7 @@ let error ev fields = emit Error ev fields
 (* -- ring inspection ----------------------------------------------------- *)
 
 let events ?(min_level = Debug) () =
-  Mutex.lock rings_mu;
-  let all = List.concat_map kept !rings in
-  Mutex.unlock rings_mu;
+  let all = List.concat_map Ring.to_list (Ring.all rings) in
   let all =
     List.filter (fun e -> int_of_level e.lg_level >= int_of_level min_level) all
   in
@@ -181,22 +152,8 @@ let dump_tail ?min_level n oc =
   flush oc
 
 let dropped () =
-  Mutex.lock rings_mu;
-  let d =
-    List.fold_left
-      (fun acc r -> acc + max 0 (r.r_count - Array.length r.r_buf))
-      0 !rings
-  in
-  Mutex.unlock rings_mu;
-  d
+  List.fold_left (fun acc r -> acc + Ring.dropped r) 0 (Ring.all rings)
 
 let reset () =
-  Mutex.lock rings_mu;
-  List.iter
-    (fun r ->
-      r.r_buf <- [||];
-      r.r_next <- 0;
-      r.r_count <- 0)
-    !rings;
-  Mutex.unlock rings_mu;
-  epoch := Unix.gettimeofday ()
+  List.iter Ring.clear (Ring.all rings);
+  Ring.restart_clock ()

@@ -1,9 +1,9 @@
 (** Leveled, domain-safe structured logger: the event-log half of the
     flight recorder.
 
-    Every record carries a monotonic timestamp (microseconds since the
-    log epoch), the emitting domain id, an event name and typed
-    key/value fields. Records at {!Info} and above always land in a
+    Every record carries a timestamp (microseconds since the recorder
+    epoch shared with {!Trace} and {!Sampler}), the emitting domain id,
+    an event name and typed key/value fields. Records at {!Info} and above always land in a
     bounded per-domain in-memory ring — even with no sink attached — so
     the tail of the flight can be dumped into crash/degraded-exit
     summaries. Attaching a sink with {!set_sink} additionally streams
@@ -20,7 +20,7 @@ type level = Debug | Info | Warn | Error
 type field = Str of string | I of int | F of float | B of bool
 
 type event = {
-  lg_ts : float;  (** microseconds since the log epoch *)
+  lg_ts : float;  (** microseconds since the recorder epoch *)
   lg_dom : int;  (** emitting domain id *)
   lg_level : level;
   lg_ev : string;  (** event name, dot-separated ["layer.thing.verb"] *)
@@ -68,5 +68,6 @@ val dropped : unit -> int
 val to_json : event -> Json.t
 
 val reset : unit -> unit
-(** Clear the rings and restart the epoch; the sink is left attached.
+(** Clear the rings and restart the recorder clock shared with {!Trace}
+    and {!Sampler}; the sink is left attached.
     Test helper. *)

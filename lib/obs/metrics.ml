@@ -24,15 +24,8 @@ let counter_ids : (string, int) Hashtbl.t = Hashtbl.create 64
 
 (* Every per-domain store ever created; entries outlive their domain so
    counts from finished workers are never lost. *)
-let stores : int array list ref = ref []
-
-let store_key =
-  Domain.DLS.new_key (fun () ->
-      let a = Array.make max_counters 0 in
-      Mutex.lock registry_mu;
-      stores := a :: !stores;
-      Mutex.unlock registry_mu;
-      a)
+let stores = Ring.per_domain (fun () -> Array.make max_counters 0)
+let store_key = Ring.key stores
 
 let counter name =
   Mutex.lock registry_mu;
@@ -61,10 +54,7 @@ let add c n = if !enabled then add_always c n
 let incr c = add c 1
 
 let counter_value c =
-  Mutex.lock registry_mu;
-  let v = List.fold_left (fun acc a -> acc + a.(c)) 0 !stores in
-  Mutex.unlock registry_mu;
-  v
+  List.fold_left (fun acc a -> acc + a.(c)) 0 (Ring.all stores)
 
 let find_counter name =
   Mutex.lock registry_mu;
@@ -193,7 +183,7 @@ let counters_snapshot () =
       for i = 0 to n - 1 do
         sums.(i) <- sums.(i) + a.(i)
       done)
-    !stores;
+    (Ring.all stores);
   let out = List.init n (fun i -> (counter_names.(i), sums.(i))) in
   Mutex.unlock registry_mu;
   List.sort compare out
@@ -316,7 +306,7 @@ let report () =
 
 let reset () =
   Mutex.lock registry_mu;
-  List.iter (fun a -> Array.fill a 0 (Array.length a) 0) !stores;
+  List.iter (fun a -> Array.fill a 0 (Array.length a) 0) (Ring.all stores);
   List.iter (fun g -> Atomic.set g.g_value 0) !gauges;
   List.iter
     (fun h ->

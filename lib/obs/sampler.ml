@@ -2,7 +2,7 @@
 
    Each domain keeps its latest reported live values (conflicts,
    propagations, learnts, AIG nodes) in domain-local state and appends
-   a sample row to its own ring when the interval has elapsed — no
+   a sample row to its own [Ring] when the interval has elapsed — no
    locks on the hot path, same registration scheme as [Trace]/[Log]. *)
 
 let enabled = ref false
@@ -24,9 +24,7 @@ let ring_capacity = 2048
 
 type dstate = {
   d_dom : int;
-  mutable d_buf : sample array; (* [||] until the first sample *)
-  mutable d_next : int;
-  mutable d_count : int;
+  d_ring : sample Ring.t;
   (* Latest live values reported by the owning hot loops. *)
   mutable d_conflicts : int;
   mutable d_props : int;
@@ -38,38 +36,28 @@ type dstate = {
   mutable d_prev_props : int;
 }
 
-let states_mu = Mutex.create ()
-let states : dstate list ref = ref []
-let epoch = ref (Unix.gettimeofday ())
+let states =
+  Ring.per_domain (fun () ->
+      {
+        d_dom = (Domain.self () :> int);
+        d_ring = Ring.create ring_capacity;
+        d_conflicts = 0;
+        d_props = 0;
+        d_learnts = 0;
+        d_aig = 0;
+        d_prev_ts = 0.0;
+        d_prev_conflicts = 0;
+        d_prev_props = 0;
+      })
 
-let state_key =
-  Domain.DLS.new_key (fun () ->
-      let d =
-        {
-          d_dom = (Domain.self () :> int);
-          d_buf = [||];
-          d_next = 0;
-          d_count = 0;
-          d_conflicts = 0;
-          d_props = 0;
-          d_learnts = 0;
-          d_aig = 0;
-          d_prev_ts = 0.0;
-          d_prev_conflicts = 0;
-          d_prev_props = 0;
-        }
-      in
-      Mutex.lock states_mu;
-      states := d :: !states;
-      Mutex.unlock states_mu;
-      d)
+let state_key = Ring.key states
 
 let sample_now d now =
   let dt = now -. d.d_prev_ts in
   let rate cur prev = if dt <= 0.0 then 0.0 else float_of_int (cur - prev) /. dt in
   let s =
     {
-      sm_ts = (now -. !epoch) *. 1e6;
+      sm_ts = Ring.stamp now;
       sm_conflicts_s =
         (if d.d_prev_ts = 0.0 then 0.0 else rate d.d_conflicts d.d_prev_conflicts);
       sm_props_s =
@@ -79,10 +67,7 @@ let sample_now d now =
       sm_heap_words = (Gc.quick_stat ()).Gc.heap_words;
     }
   in
-  if Array.length d.d_buf = 0 then d.d_buf <- Array.make ring_capacity s
-  else d.d_buf.(d.d_next) <- s;
-  d.d_next <- (d.d_next + 1) mod ring_capacity;
-  d.d_count <- d.d_count + 1;
+  Ring.push d.d_ring s;
   d.d_prev_ts <- now;
   d.d_prev_conflicts <- d.d_conflicts;
   d.d_prev_props <- d.d_props;
@@ -114,7 +99,7 @@ let poll_quick () =
        sample, bypass the 1/64 mask so a run short on polls (a fast
        bench cell, a test) still leaves a series behind instead of a
        blank sparkline. *)
-    if d.d_count = 0 || !tick land 63 = 0 then maybe_sample d
+    if Ring.total d.d_ring = 0 || !tick land 63 = 0 then maybe_sample d
   end;
   Progress.beat ()
 
@@ -124,19 +109,10 @@ let note_aig_nodes n =
     d.d_aig <- n
   end
 
-let kept d =
-  if d.d_count >= Array.length d.d_buf then
-    (* Oldest-first: the slice from d_next wraps around. *)
-    List.init (Array.length d.d_buf) (fun i ->
-        d.d_buf.((d.d_next + i) mod Array.length d.d_buf))
-  else Array.to_list (Array.sub d.d_buf 0 d.d_count)
-
 let series () =
-  Mutex.lock states_mu;
-  let all = List.map (fun d -> (d.d_dom, kept d)) !states in
-  Mutex.unlock states_mu;
-  List.sort (fun (a, _) (b, _) -> compare a b)
-    (List.filter (fun (_, s) -> s <> []) all)
+  List.map (fun d -> (d.d_dom, Ring.to_list d.d_ring)) (Ring.all states)
+  |> List.filter (fun (_, s) -> s <> [])
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 let sample_json s =
   Json.Obj
@@ -166,12 +142,9 @@ let to_json () =
     ]
 
 let reset () =
-  Mutex.lock states_mu;
   List.iter
     (fun d ->
-      d.d_buf <- [||];
-      d.d_next <- 0;
-      d.d_count <- 0;
+      Ring.clear d.d_ring;
       d.d_conflicts <- 0;
       d.d_props <- 0;
       d.d_learnts <- 0;
@@ -179,6 +152,5 @@ let reset () =
       d.d_prev_ts <- 0.0;
       d.d_prev_conflicts <- 0;
       d.d_prev_props <- 0)
-    !states;
-  Mutex.unlock states_mu;
-  epoch := Unix.gettimeofday ()
+    (Ring.all states);
+  Ring.restart_clock ()

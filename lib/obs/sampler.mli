@@ -5,7 +5,7 @@
     pool worker boundaries): each call site reports the live values it
     owns ({!poll_sat}, {!note_aig_nodes}) or just offers a sampling
     opportunity ({!poll_quick}), and the sampler records a row into the
-    calling domain's ring buffer whenever {!interval} has elapsed —
+    calling domain's ring whenever {!interval} has elapsed —
     conflict and propagation rates, learnt-DB size, AIG node count and
     [Gc.quick_stat] heap words.
 
@@ -23,7 +23,7 @@ val set_interval_us : int -> unit
     50_000). [0] samples on every poll — test use. *)
 
 type sample = {
-  sm_ts : float;  (** microseconds since the sampler epoch *)
+  sm_ts : float;  (** microseconds since the recorder epoch *)
   sm_conflicts_s : float;  (** conflict rate since the previous sample *)
   sm_props_s : float;  (** propagation rate since the previous sample *)
   sm_learnts : int;  (** learnt-clause DB size at the sample *)
@@ -53,4 +53,5 @@ val to_json : unit -> Json.t
     in [run.json]. *)
 
 val reset : unit -> unit
-(** Drop all series and restart the epoch. Test helper. *)
+(** Drop all series and restart the recorder clock shared with {!Trace}
+    and {!Log}. Test helper. *)

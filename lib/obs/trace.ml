@@ -3,16 +3,16 @@
    Spans are recorded as complete ("ph":"X") events: we time the bracket
    with [Fun.protect] so a raised exception still closes the span, and
    emit one event at close with the begin timestamp and duration. Each
-   domain appends to its own buffer (registered in a global list that
-   outlives the domain), so the hot path takes no lock; [events] /
-   [export] merge and sort at the end. *)
+   domain appends to its own [Ring] (registered so it outlives the
+   domain), so the hot path takes no lock; [events] / [export] merge and
+   sort at the end. *)
 
 let enabled = ref false
 
 type event = {
   ev_name : string;
   ev_cat : string;
-  ev_ts : float; (* microseconds since trace epoch *)
+  ev_ts : float; (* microseconds since the recorder epoch *)
   ev_dur : float; (* microseconds *)
   ev_tid : int;
   ev_depth : int;
@@ -26,55 +26,29 @@ let kind ?(cat = "sepe") name =
 
 let name_of k = k.k_name
 
-(* -- per-domain buffers -------------------------------------------------- *)
+(* -- per-domain rings ----------------------------------------------------- *)
 
-let max_events_per_domain = 200_000
+let ring_capacity = 200_000
 
 (* Each domain records into a bounded ring and overwrites its *oldest*
    events once full (Perfetto's ring mode).  Keeping the newest events
    matters: a long synthesis phase must not evict the short BMC phase
-   that runs after it from the trace.  [b_count] is total pushes, so
-   [count - cap] is the number overwritten. *)
-type buffer = {
-  b_tid : int;
-  mutable b_ring : event array; (* [||] until the first push *)
-  mutable b_next : int; (* next write slot *)
-  mutable b_count : int; (* total events pushed, may exceed the cap *)
-  mutable b_depth : int;
-}
+   that runs after it from the trace.  Overwrites are counted as they
+   happen, so a payload built before the export already sees them. *)
+let m_dropped = Metrics.counter "obs.trace.dropped"
+let drop_one () = Metrics.add_always m_dropped 1
 
-let buffers_mu = Mutex.create ()
-let buffers : buffer list ref = ref []
+type buffer = { b_tid : int; b_ring : event Ring.t; mutable b_depth : int }
 
-let buffer_key =
-  Domain.DLS.new_key (fun () ->
-      let b =
-        {
-          b_tid = (Domain.self () :> int);
-          b_ring = [||];
-          b_next = 0;
-          b_count = 0;
-          b_depth = 0;
-        }
-      in
-      Mutex.lock buffers_mu;
-      buffers := b :: !buffers;
-      Mutex.unlock buffers_mu;
-      b)
+let buffers =
+  Ring.per_domain (fun () ->
+      {
+        b_tid = (Domain.self () :> int);
+        b_ring = Ring.create ~on_drop:drop_one ring_capacity;
+        b_depth = 0;
+      })
 
-let epoch = ref (Unix.gettimeofday ())
-
-let push b ev =
-  if Array.length b.b_ring = 0 then
-    b.b_ring <- Array.make max_events_per_domain ev
-  else b.b_ring.(b.b_next) <- ev;
-  b.b_next <- (b.b_next + 1) mod max_events_per_domain;
-  b.b_count <- b.b_count + 1
-
-let kept_events b =
-  (* In no particular order -- [events] sorts by timestamp anyway. *)
-  if b.b_count >= Array.length b.b_ring then Array.to_list b.b_ring
-  else Array.to_list (Array.sub b.b_ring 0 b.b_count)
+let buffer_key = Ring.key buffers
 
 (* -- spans --------------------------------------------------------------- *)
 
@@ -93,11 +67,11 @@ let span_with ~name ~cat ~timer ~args f =
         match buf with
         | Some b ->
             b.b_depth <- b.b_depth - 1;
-            push b
+            Ring.push b.b_ring
               {
                 ev_name = name;
                 ev_cat = cat;
-                ev_ts = (t0 -. !epoch) *. 1e6;
+                ev_ts = Ring.stamp t0;
                 ev_dur = dur_us;
                 ev_tid = b.b_tid;
                 ev_depth = b.b_depth;
@@ -117,9 +91,7 @@ let with_span_named ?(cat = "sepe") name f =
 (* -- collection and export ----------------------------------------------- *)
 
 let events () =
-  Mutex.lock buffers_mu;
-  let all = List.concat_map kept_events !buffers in
-  Mutex.unlock buffers_mu;
+  let all = List.concat_map (fun b -> Ring.to_list b.b_ring) (Ring.all buffers) in
   (* Start-time order; at equal timestamps the longer span is the
      enclosing one and must come first (events are recorded at close, so
      a parent and its first child can share a start tick). *)
@@ -130,14 +102,7 @@ let events () =
     all
 
 let dropped () =
-  Mutex.lock buffers_mu;
-  let d =
-    List.fold_left
-      (fun acc b -> acc + max 0 (b.b_count - Array.length b.b_ring))
-      0 !buffers
-  in
-  Mutex.unlock buffers_mu;
-  d
+  List.fold_left (fun acc b -> acc + Ring.dropped b.b_ring) 0 (Ring.all buffers)
 
 let event_json ev =
   Json.Obj
@@ -155,26 +120,15 @@ let event_json ev =
           :: List.map (fun (k, v) -> (k, Json.String v)) ev.ev_args) );
     ]
 
-(* Ring evictions are silent while the trace records; surfacing them at
-   export time (counter + warn log) is enough, since that is when the
-   gap becomes observable.  [surfaced] makes repeated exports add only
-   the delta to the counter. *)
-let m_dropped = Metrics.counter "obs.trace.dropped"
-let surfaced = ref 0
-
-let surface_dropped () =
+let warn_dropped () =
   let d = dropped () in
-  if d > !surfaced then begin
-    Metrics.add_always m_dropped (d - !surfaced);
-    surfaced := d
-  end;
   if d > 0 then
     Log.warn "obs.trace.dropped"
-      [ ("events", Log.I d); ("ring_capacity", Log.I max_events_per_domain) ]
+      [ ("events", Log.I d); ("ring_capacity", Log.I ring_capacity) ]
 
 let export path =
   let evs = events () in
-  surface_dropped ();
+  warn_dropped ();
   let to_stdout = path = "-" in
   let oc = if to_stdout then stdout else open_out path in
   Fun.protect
@@ -229,14 +183,9 @@ let validate_export path =
   | Ok _ -> Error "top-level value is not an array"
 
 let reset () =
-  Mutex.lock buffers_mu;
   List.iter
     (fun b ->
-      b.b_ring <- [||];
-      b.b_next <- 0;
-      b.b_count <- 0;
+      Ring.clear b.b_ring;
       b.b_depth <- 0)
-    !buffers;
-  Mutex.unlock buffers_mu;
-  surfaced := 0;
-  epoch := Unix.gettimeofday ()
+    (Ring.all buffers);
+  Ring.restart_clock ()

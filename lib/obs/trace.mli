@@ -27,7 +27,7 @@ val with_span_named : ?cat:string -> string -> (unit -> 'a) -> 'a
 type event = {
   ev_name : string;
   ev_cat : string;
-  ev_ts : float;  (** microseconds since trace epoch *)
+  ev_ts : float;  (** microseconds since the recorder epoch *)
   ev_dur : float;  (** microseconds *)
   ev_tid : int;  (** domain id *)
   ev_depth : int;  (** nesting depth within its domain at begin time *)
@@ -37,19 +37,23 @@ type event = {
 val events : unit -> event list
 (** All recorded events, merged across domains, sorted by start time. *)
 
+val ring_capacity : int
+(** Events retained per domain; older events are overwritten. *)
+
 val dropped : unit -> int
-(** Events overwritten because a per-domain ring buffer wrapped (the
-    newest events are kept, the oldest evicted). *)
+(** Events overwritten because a per-domain ring wrapped (the newest
+    events are kept, the oldest evicted). Each overwrite also bumps the
+    [obs.trace.dropped] counter as it happens. *)
 
 val export : string -> unit
 (** Write the Chrome trace JSON array (one event per line) to a file, or
-    to stdout when the path is ["-"]. Also surfaces ring evictions: the
-    total is added to the [obs.trace.dropped] counter and, when nonzero,
-    a [warn] record is emitted through {!Log}. *)
+    to stdout when the path is ["-"]. When events were dropped, also
+    emits a [warn] record through {!Log}. *)
 
 val validate_export : string -> (int, string) result
 (** Re-parse an exported trace with the checked JSON parser and verify
     the trace_event shape; [Ok n] is the event count. *)
 
 val reset : unit -> unit
-(** Drop all buffered events and restart the trace epoch. *)
+(** Drop all buffered events and restart the recorder clock shared
+    with {!Log} and {!Sampler}. *)

@@ -33,68 +33,43 @@ let det_quantum = 2048
    Domain.spawn path regardless. *)
 let force_spawn = ref false
 
-(* Bounded shared exchange buffer: a fixed ring of clause entries under
-   one mutex.  Workers touch it only at restart boundaries (a flush of
-   their local pending list plus a drain of peers' news), so the lock is
-   uncontended in practice — the hot CDCL loop never sees it.  Overflow
-   silently overwrites the oldest entries: the exchange is best-effort,
-   losing a clause costs only rediscovery. *)
+(* Bounded shared exchange buffer: an overwrite-oldest [Sqed_obs.Ring]
+   of clause entries under one mutex.  Workers touch it only at restart
+   boundaries (a flush of their local pending list plus a drain of
+   peers' news), so the lock is uncontended in practice — the hot CDCL
+   loop never sees it.  Overflow overwrites the oldest entries: the
+   exchange is best-effort, losing a clause costs only rediscovery. *)
 module Ring = struct
+  module R = Sqed_obs.Ring
+
   type entry = { lits : Sat.lit array; lbd : int; owner : int }
+  type t = { lock : Mutex.t; ring : entry R.t }
 
   let capacity = 4096
-  let dummy = { lits = [||]; lbd = 0; owner = -1 }
-
-  type t = {
-    lock : Mutex.t;
-    slots : entry array;
-    mutable total : int; (* monotone count of entries ever appended *)
-  }
-
-  let create () =
-    { lock = Mutex.create (); slots = Array.make capacity dummy; total = 0 }
+  let create () = { lock = Mutex.create (); ring = R.create capacity }
 
   let append_locked t owner pending =
-    List.iter
-      (fun (lits, lbd) ->
-        t.slots.(t.total mod capacity) <- { lits; lbd; owner };
-        t.total <- t.total + 1)
-      pending
+    List.iter (fun (lits, lbd) -> R.push t.ring { lits; lbd; owner }) pending
 
   (* Flush [pending] (oldest first) and return every peer entry appended
      since [cursor], oldest first, in one critical section. *)
   let swap t ~owner ~cursor pending =
-    Mutex.lock t.lock;
-    append_locked t owner pending;
-    let hi = t.total in
-    let lo = max !cursor (hi - capacity) in
-    let out = ref [] in
-    for i = hi - 1 downto lo do
-      let e = t.slots.(i mod capacity) in
-      if e.owner >= 0 && e.owner <> owner then out := (e.lits, e.lbd) :: !out
-    done;
-    cursor := hi;
-    Mutex.unlock t.lock;
-    !out
+    Mutex.protect t.lock (fun () ->
+        append_locked t owner pending;
+        let news = R.read_from t.ring !cursor in
+        cursor := R.total t.ring;
+        List.filter_map
+          (fun e -> if e.owner <> owner then Some (e.lits, e.lbd) else None)
+          news)
 
   let flush t ~owner pending =
-    Mutex.lock t.lock;
-    append_locked t owner pending;
-    Mutex.unlock t.lock
+    Mutex.protect t.lock (fun () -> append_locked t owner pending)
 
   (* Everything currently buffered, oldest first (for the master
      bank-back after the race). *)
   let contents t =
-    Mutex.lock t.lock;
-    let hi = t.total in
-    let lo = max 0 (hi - capacity) in
-    let out = ref [] in
-    for i = hi - 1 downto lo do
-      let e = t.slots.(i mod capacity) in
-      if e.owner >= 0 then out := (e.lits, e.lbd) :: !out
-    done;
-    Mutex.unlock t.lock;
-    !out
+    Mutex.protect t.lock (fun () ->
+        List.map (fun e -> (e.lits, e.lbd)) (R.to_list t.ring))
 end
 
 (* Deterministic diversification table.  Worker 0 keeps the stock

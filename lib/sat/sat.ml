@@ -871,42 +871,44 @@ let propagate s =
 
 (* -- preprocessing ----------------------------------------------------- *)
 
-(* Does some literal of clause [c] satisfy [f]? *)
-let exists_lit s c f =
-  let a = s.arena in
-  let stop = c + hdr_words + hdr_size a.(c) in
-  let rec go k = k < stop && (f a.(k) || go (k + 1)) in
-  go (c + hdr_words)
-
-(* The literals of clause [c] not assigned yet, in order. *)
-let unassigned s c =
+(* One scan of clause [c] at level 0: [-1] if a literal is true (or,
+   with [elim], if it mentions an eliminated variable), otherwise the
+   number of unassigned literals, copied in order to the front of
+   [!buf] (grown as needed). *)
+let unassigned s ~elim buf c =
   let a = s.arena in
   let first = c + hdr_words in
   let stop = first + hdr_size a.(c) in
-  let n = ref 0 in
-  for k = first to stop - 1 do
-    if lit_val s a.(k) = -1 then incr n
-  done;
-  let u = Array.make !n 0 in
-  n := 0;
-  for k = first to stop - 1 do
-    if lit_val s a.(k) = -1 then begin
-      u.(!n) <- a.(k);
-      incr n
+  if Array.length !buf < stop - first then
+    buf := Array.make (max (stop - first) (2 * Array.length !buf)) 0;
+  let b = !buf in
+  let n = ref 0 and k = ref first in
+  while !k < stop do
+    let l = a.(!k) in
+    let v = lit_val s l in
+    if v = 1 || (elim && s.elim.(var_of l)) then begin
+      n := -1;
+      k := stop
+    end
+    else begin
+      if v < 0 then begin
+        b.(!n) <- l;
+        incr n
+      end;
+      incr k
     end
   done;
-  u
+  !n
 
 (* The live problem clauses with level-0 values folded in, as fresh
    arrays the pass may normalize in place.  After a full level-0
    propagation every unsatisfied clause has at least two unassigned
    literals. *)
 let problem_clauses s =
-  let input = ref [] in
+  let input = ref [] and buf = ref [||] in
   for i = 0 to s.clauses.Ivec.sz - 1 do
-    let c = s.clauses.Ivec.data.(i) in
-    if not (exists_lit s c (fun l -> lit_val s l = 1)) then
-      input := unassigned s c :: !input
+    let n = unassigned s ~elim:false buf s.clauses.Ivec.data.(i) in
+    if n >= 0 then input := Array.sub !buf 0 n :: !input
   done;
   !input
 
@@ -985,20 +987,17 @@ let simplify_body s =
       if s.ok then begin
         let old = Array.sub s.learnts.Ivec.data 0 s.learnts.Ivec.sz in
         Ivec.clear s.learnts;
+        let buf = ref [||] in
         Array.iter
           (fun c ->
-            let u = unassigned s c in
-            let n = Array.length u in
-            if
-              (not s.ok)
-              || exists_lit s c (fun l -> s.elim.(var_of l) || lit_val s l = 1)
-            then delete_clause s c
+            let n = if s.ok then unassigned s ~elim:true buf c else -1 in
+            if n < 0 then delete_clause s c
             else if n = 0 then begin
               s.ok <- false;
               delete_clause s c
             end
             else if n = 1 then begin
-              enqueue s u.(0) no_reason;
+              enqueue s !buf.(0) no_reason;
               delete_clause s c
             end
             else if n < hdr_size s.arena.(c) then begin
@@ -1006,7 +1005,7 @@ let simplify_body s =
                  activity. *)
               let c' =
                 alloc_clause s ~learnt:true ~lbd:s.arena.(c + 1)
-                  ~act:s.act.(s.arena.(c + 2)) u
+                  ~act:s.act.(s.arena.(c + 2)) (Array.sub !buf 0 n)
               in
               delete_clause s c;
               Ivec.push s.learnts c';

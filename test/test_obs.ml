@@ -506,6 +506,100 @@ let test_report_run_payload_and_history () =
       Alcotest.(check bool) "whole-run wall row present" true
         (contains "run.wall_s"))
 
+(* ---------------------------------------------------------------- *)
+(* The shared ring, live drop counts and the shared clock            *)
+(* ---------------------------------------------------------------- *)
+
+module Ring = Sqed_obs.Ring
+
+let test_trace_drops_counted_live () =
+  (* The counter must move as the ring wraps, not at export: payloads
+     built before the trace is exported read it too. *)
+  Trace.enabled := true;
+  let k = 7 in
+  for _ = 1 to Trace.ring_capacity + k do
+    Trace.with_span k_inner (fun () -> ())
+  done;
+  Alcotest.(check int) "obs.trace.dropped before any export" k
+    (Metrics.find_counter "obs.trace.dropped");
+  Alcotest.(check int) "Trace.dropped agrees" k (Trace.dropped ())
+
+let test_ring_wrap_keeps_newest () =
+  let drops = ref 0 in
+  let r = Ring.create ~on_drop:(fun () -> incr drops) 5 in
+  Alcotest.(check (list int)) "empty ring reads nothing" [] (Ring.to_list r);
+  for i = 0 to 12 do
+    Ring.push r i
+  done;
+  Alcotest.(check (list int)) "newest capacity entries, oldest first"
+    [ 8; 9; 10; 11; 12 ] (Ring.to_list r);
+  Alcotest.(check int) "total counts every push" 13 (Ring.total r);
+  Alcotest.(check int) "dropped is the overflow" 8 (Ring.dropped r);
+  Alcotest.(check int) "on_drop ran once per overwrite" 8 !drops
+
+let test_ring_cursor_clipped () =
+  let r = Ring.create 4 in
+  for i = 0 to 9 do
+    Ring.push r i
+  done;
+  Alcotest.(check (list int)) "stale cursor clipped to the window"
+    [ 6; 7; 8; 9 ] (Ring.read_from r 2);
+  Alcotest.(check (list int)) "cursor inside the window" [ 8; 9 ]
+    (Ring.read_from r 8);
+  Alcotest.(check (list int)) "cursor at total reads nothing" []
+    (Ring.read_from r (Ring.total r))
+
+let test_ring_outlives_domain () =
+  let p = Ring.per_domain (fun () -> Ring.create 8) in
+  let d =
+    Domain.spawn (fun () ->
+        let r = Domain.DLS.get (Ring.key p) in
+        List.iter (Ring.push r) [ 1; 2; 3 ])
+  in
+  Domain.join d;
+  Alcotest.(check (list (list int))) "joined domain's entries readable"
+    [ [ 1; 2; 3 ] ]
+    (List.map Ring.to_list (Ring.all p))
+
+let test_ring_clear () =
+  let r = Ring.create 3 in
+  for i = 0 to 5 do
+    Ring.push r i
+  done;
+  Ring.clear r;
+  Alcotest.(check (list int)) "clear empties" [] (Ring.to_list r);
+  Alcotest.(check int) "clear zeroes dropped" 0 (Ring.dropped r);
+  Alcotest.(check int) "clear zeroes total" 0 (Ring.total r);
+  Ring.push r 42;
+  Alcotest.(check (list int)) "usable after clear" [ 42 ] (Ring.to_list r)
+
+let test_shared_clock () =
+  (* After any one recorder's reset, a span, a log record and a sample
+     emitted in that order are stamped in that order. *)
+  Trace.enabled := true;
+  Sampler.enabled := true;
+  Sampler.set_interval_us 0;
+  List.iter
+    (fun (name, single_reset) ->
+      reset_all ();
+      Unix.sleepf 0.002;
+      single_reset ();
+      Trace.with_span k_outer (fun () -> ());
+      Log.info "test.clock" [];
+      Sampler.poll_sat ~conflicts:1 ~propagations:1 ~learnts:1;
+      match (Trace.events (), Log.tail 10, Sampler.series ()) with
+      | [ ev ], [ lg ], [ (_, [ sm ]) ] ->
+          Alcotest.(check bool) (name ^ ": span before log record") true
+            (ev.Trace.ev_ts <= lg.Log.lg_ts);
+          Alcotest.(check bool) (name ^ ": log record before sample") true
+            (lg.Log.lg_ts <= sm.Sampler.sm_ts)
+      | _ -> Alcotest.fail (name ^ ": expected one event of each kind"))
+    [
+      ("Trace.reset", Trace.reset);
+      ("Log.reset", Log.reset);
+      ("Sampler.reset", Sampler.reset);
+    ]
+
 let suite =
   [
     Alcotest.test_case "json roundtrip" `Quick (isolated test_json_roundtrip);
@@ -552,4 +646,16 @@ let suite =
       (isolated test_sampler_first_poll_samples);
     Alcotest.test_case "run payload and report history section" `Quick
       (isolated test_report_run_payload_and_history);
+    Alcotest.test_case "trace drops are counted as they happen" `Quick
+      (isolated test_trace_drops_counted_live);
+    Alcotest.test_case "ring keeps the newest entries" `Quick
+      (isolated test_ring_wrap_keeps_newest);
+    Alcotest.test_case "ring clips a stale cursor" `Quick
+      (isolated test_ring_cursor_clipped);
+    Alcotest.test_case "ring outlives its domain" `Quick
+      (isolated test_ring_outlives_domain);
+    Alcotest.test_case "ring clear empties and zeroes drops" `Quick
+      (isolated test_ring_clear);
+    Alcotest.test_case "one clock for spans, log records and samples" `Quick
+      (isolated test_shared_clock);
   ]
