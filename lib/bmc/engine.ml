@@ -101,13 +101,12 @@ let check ?max_conflicts ?time_budget ?(start_bound = 1)
     ~bound model =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) time_budget in
+  (* The time budget bounds the whole bounded run, unrolling and
+     encoding included, so deep unrolls that never reach the CDCL loop
+     still respect it. *)
+  Budget.within ?deadline @@ fun () ->
+  let budget = Budget.current () in
   let solver = Solver.create () in
-  (* Bound the whole bounded run, unrolling and encoding included: the
-     time budget is installed as a solver budget, so deep unrolls that
-     never reach the CDCL loop still respect it. *)
-  Option.iter
-    (fun d -> Solver.set_budget solver (Budget.create ~deadline:d ()))
-    deadline;
   let u = Unroll.create model.Qed_top.circuit in
   (* QED-consistent symbolic initial state. *)
   List.iter
@@ -137,9 +136,7 @@ let check ?max_conflicts ?time_budget ?(start_bound = 1)
        (* Deep bounds opt into portfolio solving (a no-op at width 1). *)
        Solver.set_portfolio_active solver (k >= portfolio_from);
        let t0 = if !Metrics.enabled then Unix.gettimeofday () else 0.0 in
-       let r =
-         Solver.check ~assumptions:[ bad ] ?max_conflicts ?deadline solver
-       in
+       let r = Solver.check ~assumptions:[ bad ] ?max_conflicts solver in
        if !Metrics.enabled then
          Metrics.observe_us h_depth_us ((Unix.gettimeofday () -. t0) *. 1e6);
        (match r with
@@ -156,12 +153,12 @@ let check ?max_conflicts ?time_budget ?(start_bound = 1)
            raise Exit)
        end;
        progress k (Unix.gettimeofday () -. started);
-       (match time_budget with
-       | Some budget when Unix.gettimeofday () -. started > budget ->
+       (match Budget.over budget with
+       | Some r ->
            result := Gave_up k;
-           gave_up_reason := Some Budget.Deadline;
+           gave_up_reason := Some r;
            raise Exit
-       | _ -> ())
+       | None -> ())
        with Budget.Exhausted r ->
          (* Budget died during unrolling/encoding (Solver.check maps its
             own exhaustion to Unknown): an inconclusive depth. *)
@@ -207,25 +204,16 @@ type proof_outcome =
 let prove ?max_conflicts ?time_budget ~max_k model =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) time_budget in
-  let over_budget () =
-    match time_budget with
-    | Some b -> Unix.gettimeofday () -. started > b
-    | None -> false
-  in
+  Budget.within ?deadline @@ fun () ->
+  let budget = Budget.current () in
   (* Base case: ordinary BMC up to max_k. *)
   let base_solver = Solver.create () in
-  Option.iter
-    (fun d -> Solver.set_budget base_solver (Budget.create ~deadline:d ()))
-    deadline;
   let base = Unroll.create model.Qed_top.circuit in
   List.iter
     (fun (_label, t) -> Solver.assert_ base_solver t)
     (Qed_top.init_assumptions model);
   (* Inductive step: arbitrary start, constraints at every step. *)
   let step_solver = Solver.create () in
-  Option.iter
-    (fun d -> Solver.set_budget step_solver (Budget.create ~deadline:d ()))
-    deadline;
   let step = Unroll.create ~free_initial_state:true model.Qed_top.circuit in
   let bounds = ref 0 in
   let result = ref (Not_inductive max_k) in
@@ -245,8 +233,7 @@ let prove ?max_conflicts ?time_budget ~max_k model =
        Metrics.incr m_bounds;
        (match
           Span.with_span ~args:[ ("k", string_of_int k) ] sp_base (fun () ->
-              Solver.check ~assumptions:[ bad_base ] ?max_conflicts ?deadline
-                base_solver)
+              Solver.check ~assumptions:[ bad_base ] ?max_conflicts base_solver)
         with
        | Solver.Sat ->
            result := Base_cex (extract_trace model base base_solver k);
@@ -269,8 +256,7 @@ let prove ?max_conflicts ?time_budget ~max_k model =
        Metrics.incr m_bounds;
        (match
           Span.with_span ~args:[ ("k", string_of_int k) ] sp_step (fun () ->
-              Solver.check ~assumptions:[ bad_step ] ?max_conflicts ?deadline
-                step_solver)
+              Solver.check ~assumptions:[ bad_step ] ?max_conflicts step_solver)
         with
        | Solver.Unsat ->
            result := Proved k;
@@ -280,11 +266,12 @@ let prove ?max_conflicts ?time_budget ~max_k model =
            result := Proof_gave_up k;
            gave_up_reason := Solver.last_unknown step_solver;
            raise Exit);
-       if over_budget () then begin
-         result := Proof_gave_up k;
-         gave_up_reason := Some Budget.Deadline;
-         raise Exit
-       end
+       (match Budget.over budget with
+       | Some r ->
+           result := Proof_gave_up k;
+           gave_up_reason := Some r;
+           raise Exit
+       | None -> ())
        with Budget.Exhausted r ->
          result := Proof_gave_up k;
          gave_up_reason := Some r;

@@ -39,11 +39,14 @@ val check :
   bound:int ->
   Sqed_qed.Qed_top.t ->
   outcome * stats
-(** [progress] is called after each depth with the depth and the elapsed
-    seconds.  [start_bound] skips the (expensive, necessarily clean)
-    property checks below the given depth when the shortest possible
-    counterexample length is known; constraints are still asserted for
-    every step.  [portfolio_from] (default
+(** [time_budget] (seconds) bounds the whole run, unrolling and encoding
+    included: it narrows the calling domain's budget with
+    {!Sqed_resil.Budget.within}.  [max_conflicts] caps each depth's
+    check.  [progress] is called after each depth with the depth and
+    the elapsed seconds.  [start_bound] skips the (expensive,
+    necessarily clean) property checks below the given depth when the
+    shortest possible counterexample length is known; constraints are
+    still asserted for every step.  [portfolio_from] (default
     {!default_portfolio_from}) gates portfolio solving on for depths at
     or past it — shallow queries are cheap enough that clone/spawn
     overhead would dominate — and has no effect unless the run sets a

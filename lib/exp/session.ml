@@ -244,7 +244,7 @@ let write_artifacts s ~title ~cmdline =
       Span.export path;
       let d = Span.dropped () in
       Printf.printf "trace: %d events -> %s%s\n"
-        (List.length (Span.events ()))
+        (Span.held ())
         (if path = "-" then "<stdout>" else path)
         (if d > 0 then Printf.sprintf " (%d dropped)" d else ""))
     s.trace;

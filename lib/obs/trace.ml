@@ -24,8 +24,6 @@ type kind = { k_name : string; k_cat : string; k_timer : Metrics.timer }
 let kind ?(cat = "sepe") name =
   { k_name = name; k_cat = cat; k_timer = Metrics.timer name }
 
-let name_of k = k.k_name
-
 (* -- per-domain rings ----------------------------------------------------- *)
 
 let ring_capacity = 200_000
@@ -103,6 +101,11 @@ let events () =
 
 let dropped () =
   List.fold_left (fun acc b -> acc + Ring.dropped b.b_ring) 0 (Ring.all buffers)
+
+let held () =
+  List.fold_left
+    (fun acc b -> acc + Ring.total b.b_ring - Ring.dropped b.b_ring)
+    0 (Ring.all buffers)
 
 let event_json ev =
   Json.Obj

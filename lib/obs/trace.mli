@@ -15,7 +15,6 @@ type kind
     timer. Create once at module-init time. *)
 
 val kind : ?cat:string -> string -> kind
-val name_of : kind -> string
 
 val with_span : ?args:(string * string) list -> kind -> (unit -> 'a) -> 'a
 (** Run [f] inside a span. Exception-safe: the span closes (and the
@@ -44,6 +43,10 @@ val dropped : unit -> int
 (** Events overwritten because a per-domain ring wrapped (the newest
     events are kept, the oldest evicted). Each overwrite also bumps the
     [obs.trace.dropped] counter as it happens. *)
+
+val held : unit -> int
+(** Events currently held across domains — the number {!export} writes —
+    counted without merging or sorting them. *)
 
 val export : string -> unit
 (** Write the Chrome trace JSON array (one event per line) to a file, or

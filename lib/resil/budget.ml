@@ -7,28 +7,38 @@ type reason = Deadline | Conflicts | Cancelled
 exception Exhausted of reason
 
 type t = {
-  mutable deadline : float;        (* absolute; [infinity] = uncapped *)
+  deadline : float;                (* absolute; [infinity] = uncapped *)
   mutable conflicts_left : int;    (* [max_int] = uncapped *)
+  mutable spent : int;             (* conflicts charged, capped or not *)
   mutable ticks : int;             (* check calls since last clock sample *)
   mutable dead : reason option;    (* sticky once exhausted *)
   limited : bool;                  (* false only for [unlimited] *)
+  parent : t option;               (* the budget [within] narrowed *)
 }
 
 let unlimited =
-  { deadline = infinity; conflicts_left = max_int; ticks = 0;
-    dead = None; limited = false }
+  { deadline = infinity; conflicts_left = max_int; spent = 0; ticks = 0;
+    dead = None; limited = false; parent = None }
+
+let make ?(parent = unlimited) ~deadline ~conflicts () =
+  {
+    deadline = Float.min deadline parent.deadline;
+    conflicts_left = min conflicts parent.conflicts_left;
+    spent = 0;
+    ticks = 0;
+    dead = None;
+    limited = true;
+    parent = (if parent.limited then Some parent else None);
+  }
 
 let create ?deadline ?max_conflicts () =
   match (deadline, max_conflicts) with
   | None, None -> unlimited
   | _ ->
-      {
-        deadline = Option.value deadline ~default:infinity;
-        conflicts_left = Option.value max_conflicts ~default:max_int;
-        ticks = 0;
-        dead = None;
-        limited = true;
-      }
+      make
+        ~deadline:(Option.value deadline ~default:infinity)
+        ~conflicts:(Option.value max_conflicts ~default:max_int)
+        ()
 
 let is_unlimited b = not b.limited
 let deadline b = b.deadline
@@ -42,6 +52,13 @@ let string_of_reason = function
 (* Sample the clock once per [poll_mask + 1] checks: gettimeofday is a
    vDSO call (~20 ns) but check points sit inside per-gate loops. *)
 let poll_mask = 255
+
+(* An ancestor's sticky verdict (a cancel, typically from another
+   domain).  Its deadline and allowance were folded in at [within]. *)
+let rec inherited b =
+  match b.parent with
+  | None -> None
+  | Some p -> ( match p.dead with None -> inherited p | r -> r)
 
 let die b r =
   b.dead <- Some r;
@@ -57,11 +74,11 @@ let check b =
     (match b.dead with Some r -> raise (Exhausted r) | None -> ());
     if b.conflicts_left <= 0 then die b Conflicts;
     b.ticks <- b.ticks + 1;
-    if
-      b.ticks land poll_mask = 0
-      && b.deadline < infinity
-      && Unix.gettimeofday () > b.deadline
-    then die b Deadline
+    if b.ticks land poll_mask = 0 then begin
+      if b.deadline < infinity && Unix.gettimeofday () > b.deadline then
+        die b Deadline;
+      match inherited b with Some r -> die b r | None -> ()
+    end
   end
 
 let over b =
@@ -70,25 +87,28 @@ let over b =
     match b.dead with
     | Some _ as r -> r
     | None ->
-        if b.conflicts_left <= 0 then begin
-          b.dead <- Some Conflicts;
-          Some Conflicts
-        end
-        else if b.deadline < infinity && Unix.gettimeofday () > b.deadline
-        then begin
-          b.dead <- Some Deadline;
-          Some Deadline
-        end
-        else None
+        let r =
+          if b.conflicts_left <= 0 then Some Conflicts
+          else if b.deadline < infinity && Unix.gettimeofday () > b.deadline
+          then Some Deadline
+          else inherited b
+        in
+        (* Written only when spent: a [None] store could overwrite a
+           cancel another domain just made. *)
+        if r <> None then b.dead <- r;
+        r
 
 let charge b n =
-  if b.limited && b.conflicts_left <> max_int then
-    b.conflicts_left <- (if n >= b.conflicts_left then 0 else b.conflicts_left - n)
+  if b.limited then begin
+    b.spent <- b.spent + n;
+    if b.conflicts_left <> max_int then
+      b.conflicts_left <-
+        (if n >= b.conflicts_left then 0 else b.conflicts_left - n)
+  end
 
 let cancel b = if b.limited then b.dead <- Some Cancelled
 
-(* Ambient per-domain budget, installed by the worker pool's supervised
-   map for soft per-task deadlines.  DLS so worker domains see their own
+(* Ambient per-domain budget.  DLS so worker domains see their own
    binding. *)
 let current_key = Domain.DLS.new_key (fun () -> unlimited)
 
@@ -98,3 +118,21 @@ let with_current b f =
   let prev = Domain.DLS.get current_key in
   Domain.DLS.set current_key b;
   Fun.protect ~finally:(fun () -> Domain.DLS.set current_key prev) f
+
+let within ?deadline ?max_conflicts f =
+  match (deadline, max_conflicts) with
+  | None, None -> f ()
+  | _ ->
+      let parent = current () in
+      let child =
+        make ~parent
+          ~deadline:(Option.value deadline ~default:infinity)
+          ~conflicts:(Option.value max_conflicts ~default:max_int)
+          ()
+      in
+      Domain.DLS.set current_key child;
+      Fun.protect
+        ~finally:(fun () ->
+          Domain.DLS.set current_key parent;
+          charge parent child.spent)
+        f

@@ -63,16 +63,26 @@ val cancel : t -> unit
 
 val string_of_reason : reason -> string
 
-(** {1 Per-domain task budgets}
+(** {1 The calling domain's budget}
 
-    A worker pool can impose a soft per-task budget without threading a
-    parameter through every layer: {!with_current} binds a budget to
-    the current domain for the extent of a callback, and budget-aware
-    code merges {!current} into its own limits. *)
+    Solving and encoding read their limits from one place: the budget
+    bound to the calling domain.  A worker pool binds a per-task budget
+    with {!with_current}; a caller that wants a tighter limit for part
+    of its work narrows the current budget with {!within}.  No layer
+    takes a budget or a limit of its own. *)
 
 val with_current : t -> (unit -> 'a) -> 'a
 (** [with_current b f] runs [f] with [b] as the calling domain's
-    ambient budget, restoring the previous binding on exit. *)
+    budget, restoring the previous binding on exit. *)
 
 val current : unit -> t
-(** The calling domain's ambient budget ({!unlimited} when none). *)
+(** The calling domain's budget ({!unlimited} when none). *)
+
+val within : ?deadline:float -> ?max_conflicts:int -> (unit -> 'a) -> 'a
+(** [within ?deadline ?max_conflicts f] runs [f] under a child of
+    {!current}: its deadline is the earlier of [deadline] and the
+    parent's, its allowance the smaller of [max_conflicts] and the
+    parent's remaining conflicts, and it sees a {!cancel} of any
+    ancestor.  On exit, normal or by an exception, the parent is
+    charged the conflicts charged to the child.  With neither limit it
+    is exactly [f ()] under the unchanged binding. *)

@@ -86,5 +86,3 @@ let solve ?(portfolio = 1) ?(deterministic = false) cnf =
   match result with
   | Sat.Sat -> (Sat.Sat, Some (Array.map (fun v -> Sat.value s v) vars))
   | r -> (r, None)
-
-let of_solver_instance gen num_vars = { num_vars; clauses = gen num_vars }

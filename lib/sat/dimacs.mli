@@ -17,6 +17,3 @@ val solve :
     variable i (1-based, index i-1) to its value.  [portfolio] above 1
     races that many diversified workers via {!Portfolio.solve}
     ([deterministic] for the reproducible round-robin mode). *)
-
-val of_solver_instance : (int -> int list list) -> int -> cnf
-(** Build a CNF from a clause generator (used by tests). *)

@@ -98,36 +98,18 @@ let reason_str = function
   | Some r -> Budget.string_of_reason r
   | None -> "none"
 
-let solve ?(assumptions = []) ?max_conflicts ?deadline ?(deterministic = false)
-    ~k s =
-  if k <= 1 then Sat.solve ~assumptions ?max_conflicts ?deadline s
+let solve ?(assumptions = []) ?(deterministic = false) ~k s =
+  if k <= 1 then Sat.solve ~assumptions s
   else if not (Sat.prepare ~assumptions s) then Sat.Unsat
   else begin
-    let installed = Sat.budget s in
-    let task = Budget.current () in
-    (* Merge the per-call limits with the installed and ambient budgets
-       once, exactly as a single-engine [Sat.solve] would. *)
-    let eff_deadline =
-      Float.min
-        (match deadline with Some d -> d | None -> infinity)
-        (Float.min (Budget.deadline installed) (Budget.deadline task))
+    let caller = Budget.current () in
+    (* A fresh budget with the caller's deadline and remaining
+       allowance, for a worker or for the round-robin scheduler. *)
+    let fresh () =
+      Budget.create ~deadline:(Budget.deadline caller)
+        ~max_conflicts:(Budget.conflicts_remaining caller) ()
     in
-    let eff_conflicts =
-      let cap =
-        min
-          (Budget.conflicts_remaining installed)
-          (Budget.conflicts_remaining task)
-      in
-      match max_conflicts with
-      | Some m -> Some (min m cap)
-      | None -> if cap = max_int then None else Some cap
-    in
-    let already_over =
-      match Budget.over installed with
-      | Some _ as r -> r
-      | None -> Budget.over task
-    in
-    match already_over with
+    match Budget.over caller with
     | Some r ->
         (* Spent before any worker could start: report it without paying
            for clones or domains. *)
@@ -147,13 +129,6 @@ let solve ?(assumptions = []) ?max_conflicts ?deadline ?(deterministic = false)
         let imported = Array.make k 0 in
         let results = Array.make k Sat.Unknown in
         let winner = Atomic.make (-1) in
-        (* Each worker gets its own cancellable budget carrying the
-           merged deadline (conflict caps ride on the per-call argument
-           instead: every worker gets the full remaining allowance, the
-           usual portfolio accounting where "effort" is per engine). *)
-        let budgets =
-          Array.init k (fun _ -> Budget.create ~deadline:eff_deadline ())
-        in
         let exchange_for i =
           {
             Sat.max_lbd = export_max_lbd;
@@ -179,7 +154,6 @@ let solve ?(assumptions = []) ?max_conflicts ?deadline ?(deterministic = false)
           let w = clones.(i) in
           Sat.set_strategy w (strategy_for i);
           Sat.set_exchange w (Some (exchange_for i));
-          Sat.set_budget w budgets.(i);
           Log.info "portfolio.worker.start"
             [
               ("worker", Log.I i);
@@ -191,35 +165,34 @@ let solve ?(assumptions = []) ?max_conflicts ?deadline ?(deterministic = false)
             ];
           w
         in
+        (* Why the round-robin race stopped without a verdict. *)
+        let stop = ref None in
         if round_robin then begin
           (* Round-robin mode — [deterministic], or a single-core host:
              the workers run on this domain in fixed round-robin slices
              of [det_quantum] conflicts, the exchange schedule is a
              deterministic function of the search, and the verdict is
-             the first definitive answer in worker order. *)
+             the first definitive answer in worker order.  The workers
+             share one budget: together they spend at most the caller's
+             allowance. *)
           let workers = Array.init k setup in
-          let total = ref 0 in
-          let stop = ref None in
-          let deadline_opt =
-            if eff_deadline = infinity then None else Some eff_deadline
-          in
+          let shared = fresh () in
           while Atomic.get winner < 0 && !stop = None do
             let i = ref 0 in
             while !i < k && Atomic.get winner < 0 && !stop = None do
               let w = workers.(!i) in
-              let slice =
-                match eff_conflicts with
-                | Some cap -> min det_quantum (cap - !total)
-                | None -> det_quantum
-              in
-              if slice <= 0 then stop := Some Budget.Conflicts
+              if Budget.conflicts_remaining shared <= 0 then
+                stop := Some Budget.Conflicts
+              else if Budget.over caller = Some Budget.Cancelled then
+                (* [shared] carries the caller's limits but not its
+                   cancel: look for one between slices. *)
+                stop := Some Budget.Cancelled
               else begin
-                let c0 = (Sat.stats w).Sat.conflicts in
                 let r =
-                  Sat.solve ~assumptions ~max_conflicts:slice
-                    ?deadline:deadline_opt w
+                  Budget.with_current shared (fun () ->
+                      Budget.within ~max_conflicts:det_quantum (fun () ->
+                          Sat.solve ~assumptions w))
                 in
-                total := !total + ((Sat.stats w).Sat.conflicts - c0);
                 (match r with
                 | Sat.Unknown -> (
                     match Sat.last_interrupt w with
@@ -239,12 +212,17 @@ let solve ?(assumptions = []) ?max_conflicts ?deadline ?(deterministic = false)
           (* Parallel mode: one domain per worker; the first definitive
              finisher takes the winner slot and cancels the peers'
              budgets, which their solve loops observe at the restart /
-             1024-conflict / reduce-db poll sites. *)
+             1024-conflict / reduce-db poll sites.  Each worker's own
+             budget carries the full remaining allowance: the usual
+             portfolio accounting, where "effort" is per engine. *)
+          let budgets = Array.init k (fun _ -> fresh ()) in
           let finished = Atomic.make 0 in
           let run i =
             let w = setup i in
             let r =
-              try Sat.solve ~assumptions ?max_conflicts:eff_conflicts w
+              try
+                Budget.with_current budgets.(i) (fun () ->
+                    Sat.solve ~assumptions w)
               with e ->
                 Log.warn "portfolio.worker.error"
                   [
@@ -269,18 +247,13 @@ let solve ?(assumptions = []) ?max_conflicts ?deadline ?(deterministic = false)
                       ~finally:(fun () -> Atomic.incr finished)
                       (fun () -> run i)))
           in
-          (* The controller watches for exhaustion/cancellation of the
-             caller's budgets while the race runs (the deadline was
-             merged at entry, but a conflict-cap or an explicit cancel
-             can only be seen by polling) and relays it to the workers. *)
+          (* The controller polls the caller's budget while the race runs
+             and relays a cancel to the workers.  Its deadline and
+             allowance the workers carry themselves, so they report
+             those reasons first-hand. *)
           while Atomic.get finished < k do
-            (match
-               match Budget.over installed with
-               | Some _ as r -> r
-               | None -> Budget.over task
-             with
-            | Some _ -> Array.iter Budget.cancel budgets
-            | None -> ());
+            if Budget.over caller = Some Budget.Cancelled then
+              Array.iter Budget.cancel budgets;
             Unix.sleepf 0.001
           done;
           Array.iter Domain.join domains
@@ -311,9 +284,11 @@ let solve ?(assumptions = []) ?max_conflicts ?deadline ?(deterministic = false)
         let banked = Ring.contents ring in
         Sat.import_clauses s banked;
         Sat.adopt s ~winner:clones.(adopted);
-        let used = (Sat.stats clones.(adopted)).Sat.conflicts in
-        Budget.charge installed used;
-        Budget.charge task used;
+        (* A round-robin worker ends every spent slice on [Conflicts],
+           so the representative's reason need not be the one that
+           stopped the race. *)
+        Option.iter (Sat.note_interrupt s) !stop;
+        Budget.charge caller (Sat.stats clones.(adopted)).Sat.conflicts;
         Metrics.add m_exported (sum exported);
         Metrics.add m_imported (sum imported);
         Metrics.add m_banked (List.length banked);

@@ -27,8 +27,6 @@
 
 val solve :
   ?assumptions:Sat.lit list ->
-  ?max_conflicts:int ->
-  ?deadline:float ->
   ?deterministic:bool ->
   k:int ->
   Sat.t ->
@@ -40,14 +38,16 @@ val solve :
     reusable (further clauses, further solves).  [k <= 1] falls through
     to {!Sat.solve} with zero portfolio overhead.
 
-    Limits compose like {!Sat.solve}: the per-call [max_conflicts] /
-    [deadline] are merged with the installed {!Sat.set_budget} budget
-    and the ambient {!Sqed_resil.Budget.current} budget.  Each worker
-    receives the full remaining conflict allowance (portfolio effort is
-    accounted per engine); the winner's conflicts are charged to the
-    installed and ambient budgets.  A conflict-cap exhaustion or an
-    explicit cancellation of either caller budget mid-race is relayed to
-    the workers by the controller.
+    Like {!Sat.solve}, the race is bounded by the calling domain's
+    budget ({!Sqed_resil.Budget.current}).  Each parallel worker runs
+    under its own cancellable budget with that deadline and the full
+    remaining conflict allowance (portfolio effort is accounted per
+    engine); round-robin workers share one such budget.  The winner's
+    conflicts are charged to the caller's budget once.  A cancellation
+    of the caller's budget mid-race reaches the workers: the controller
+    relays it in parallel mode, the scheduler checks for it between
+    round-robin slices.  When no worker answers, {!Sat.last_interrupt}
+    gives the reason that ended the race.
 
     [deterministic] (for reproducible CI runs) keeps every worker on the
     calling domain and runs them in fixed round-robin slices with a

@@ -228,9 +228,6 @@ type t = {
   mutable clauses_at_simplify : int;
   mutable conflicts_at_simplify : int;
   mutable n_solves : int; (* completed [solve] calls (and [prepare]s) *)
-  (* Installed resource budget (deadline + conflict cap), merged with the
-     ambient per-task budget at every cooperative cancellation point. *)
-  mutable budget : Budget.t;
   (* Portfolio hooks: the diversification strategy (with [var_inc_scale]
      caching 1/var_decay so the per-conflict path pays no division), the
      xorshift state for randomized polarity (0 keeps saved-phase only),
@@ -304,7 +301,6 @@ let create () =
     clauses_at_simplify = 0;
     conflicts_at_simplify = 0;
     n_solves = 0;
-    budget = Budget.unlimited;
     strat = default_strategy;
     var_inc_scale = 1.0 /. default_strategy.var_decay;
     rand_state = 0;
@@ -324,17 +320,12 @@ let stats s =
     learnt_literals = s.n_learnt_lits;
   }
 
-let set_budget s b = s.budget <- b
-let budget s = s.budget
-
 (* Cooperative cancellation point for encoding-side work (bit-blaster
-   word loops, AIG conversion): honors both the installed budget and
-   the worker pool's ambient per-task budget. *)
-let check_budget s =
+   word loops, AIG conversion). *)
+let check_budget () =
   (* Doubles as a flight-recorder touch point: a sampling opportunity
      plus a progress heartbeat, each one boolean load when off. *)
   Sampler.poll_quick ();
-  Budget.check s.budget;
   Budget.check (Budget.current ())
 
 let last_interrupt s = s.last_interrupt
@@ -921,9 +912,8 @@ let simplify_body s =
     (* Preprocessing degrades rather than raising: Simplify stops at the
        next consistent boundary when the budget runs out, and the pass
        result so far is still sound to install. *)
-    let stop () =
-      Budget.over s.budget <> None || Budget.over (Budget.current ()) <> None
-    in
+    let b = Budget.current () in
+    let stop () = Budget.over b <> None in
     let o =
       (* The extracted list is handed over, not bound here: the pass
          consumes it and nothing keeps it alive beside its clauses. *)
@@ -1397,54 +1387,21 @@ type result = Sat | Unsat | Unknown
 
 exception Found of result
 
-let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
+let solve_body ?(assumptions = []) s =
   s.has_model <- false;
   s.last_interrupt <- None;
   Fault.check "sat.solve";
-  (* Merge the per-call limits with the installed budget and the worker
-     pool's ambient per-task budget into one effective deadline and
-     conflict allowance for this search. *)
-  let task_budget = Budget.current () in
-  let eff_deadline =
-    let d =
-      Float.min
-        (match deadline with Some d -> d | None -> infinity)
-        (Float.min (Budget.deadline s.budget) (Budget.deadline task_budget))
-    in
-    if d = infinity then None else Some d
-  in
-  let eff_max_conflicts =
-    let cap =
-      min
-        (Budget.conflicts_remaining s.budget)
-        (Budget.conflicts_remaining task_budget)
-    in
-    match max_conflicts with
-    | Some m -> Some (min m cap)
-    | None -> if cap = max_int then None else Some cap
-  in
-  let deadline_passed () =
-    match eff_deadline with
-    | Some d -> Unix.gettimeofday () > d
-    | None -> false
-  in
-  (* Cooperative stop poll, shared by the restart / 1024-conflict /
-     reduce-db boundaries.  Beyond the effective deadline it also asks
-     the installed and ambient budgets directly, which is what makes
-     [Budget.cancel] from a portfolio arbiter (or a pool supervisor on
-     another domain) actually stop this search: the deadline/conflict
-     caps were merged once at entry, but a cancellation arrives later. *)
-  let interrupted () =
-    if deadline_passed () then Some Budget.Deadline
-    else
-      match Budget.over s.budget with
-      | Some _ as r -> r
-      | None -> Budget.over task_budget
-  in
+  (* The calling domain's budget bounds this search: its allowance is
+     counted here per conflict and charged at exit, and the restart /
+     1024-conflict / reduce-db boundaries poll it for the deadline and
+     for a cancel arriving from another domain. *)
+  let budget = Budget.current () in
+  let allowance = Budget.conflicts_remaining budget in
   let stop r =
     s.last_interrupt <- Some r;
     raise (Found Unknown)
   in
+  let poll () = match Budget.over budget with Some r -> stop r | None -> () in
   if not s.ok then Unsat
   else begin
     let assumptions = Array.of_list assumptions in
@@ -1485,7 +1442,7 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
                 if propagate s >= 0 then s.ok <- false;
                 if not s.ok then raise (Found Unsat)
             | None -> ());
-            (match interrupted () with Some r -> stop r | None -> ());
+            poll ();
             (* search *)
             (try
                while true do
@@ -1493,10 +1450,8 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
                  if confl >= 0 then begin
                    s.n_conflicts <- s.n_conflicts + 1;
                    incr conflicts_here;
-                   (match eff_max_conflicts with
-                   | Some m when s.n_conflicts - start_conflicts >= m ->
-                       stop Budget.Conflicts
-                   | _ -> ());
+                   if s.n_conflicts - start_conflicts >= allowance then
+                     stop Budget.Conflicts;
                    if s.n_conflicts land 1023 = 0 then begin
                      (* The sampler reads live totals here because the
                         registry only sees them as deltas at solve
@@ -1504,9 +1459,7 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
                      Sampler.poll_sat ~conflicts:s.n_conflicts
                        ~propagations:s.n_propagations
                        ~learnts:s.learnts.Ivec.sz;
-                     match interrupted () with
-                     | Some r -> stop r
-                     | None -> ()
+                     poll ()
                    end;
                    if decision_level s = 0 then begin
                      s.ok <- false;
@@ -1528,9 +1481,7 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
                      (* Learnt-DB reductions are rare and follow long
                         propagation-heavy stretches — another natural
                         deadline boundary. *)
-                     (match interrupted () with
-                     | Some r -> stop r
-                     | None -> ());
+                     poll ();
                      reduce_db s;
                      s.max_learnts <- s.max_learnts *. 1.05
                    end;
@@ -1579,16 +1530,14 @@ let solve_body ?(assumptions = []) ?max_conflicts ?deadline s =
          interrupted (Unknown) solver remains fully reusable. *)
       cancel_until s 0;
       s.n_solves <- s.n_solves + 1;
-      let used = s.n_conflicts - start_conflicts in
-      Budget.charge s.budget used;
-      Budget.charge task_budget used;
+      Budget.charge budget (s.n_conflicts - start_conflicts);
       result
     end
   end
 
-let solve_traced ?assumptions ?max_conflicts ?deadline s =
+let solve_traced ?assumptions s =
   if not (!Metrics.enabled || !Trace.enabled) then
-    solve_body ?assumptions ?max_conflicts ?deadline s
+    solve_body ?assumptions s
   else
     Trace.with_span sp_solve (fun () ->
         let d0 = s.n_decisions
@@ -1601,17 +1550,17 @@ let solve_traced ?assumptions ?max_conflicts ?deadline s =
             Metrics.add m_propagations (s.n_propagations - p0);
             Metrics.add m_conflicts (s.n_conflicts - c0);
             Metrics.add m_restarts (s.n_restarts - r0))
-          (fun () -> solve_body ?assumptions ?max_conflicts ?deadline s))
+          (fun () -> solve_body ?assumptions s))
 
-let solve ?assumptions ?max_conflicts ?deadline s =
+let solve ?assumptions s =
   (* Solve-lifecycle record: solves are frequent (once per BMC bound per
      candidate), so this is Debug-level and captured only while a Debug
      sink is attached. *)
   if not (Log.logs Log.Debug) then
-    solve_traced ?assumptions ?max_conflicts ?deadline s
+    solve_traced ?assumptions s
   else begin
     let c0 = s.n_conflicts and t0 = Unix.gettimeofday () in
-    let r = solve_traced ?assumptions ?max_conflicts ?deadline s in
+    let r = solve_traced ?assumptions s in
     Log.debug "sat.solve"
       [
         ( "result",

@@ -23,7 +23,7 @@ type lit = int
 
 val create : unit -> t
 (** A fresh, empty solver (no variables, no clauses, default
-    {!default_strategy}, no budget). *)
+    {!default_strategy}). *)
 
 val new_var : t -> int
 (** Allocate a fresh variable and return its index. *)
@@ -99,20 +99,18 @@ type result = Sat | Unsat | Unknown
 (** Verdict of a {!solve} call; [Unknown] means a budget/limit interrupt
     (see {!last_interrupt} for which one). *)
 
-val solve :
-  ?assumptions:lit list -> ?max_conflicts:int -> ?deadline:float -> t -> result
+val solve : ?assumptions:lit list -> t -> result
 (** Solve under the given assumptions.  The solver is reusable: further
     clauses may be added and [solve] called again (incremental use) —
     including after an interrupted ([Unknown]) search, which backtracks
-    to the root state before returning.  [max_conflicts] bounds the
-    search effort and [deadline] (an absolute [Unix.gettimeofday]
-    instant, polled every 1024 conflicts and at restart and learnt-DB
-    reduction boundaries) bounds wall time; when either is exceeded the
-    answer is [Unknown].  Per-call limits are merged with the installed
-    {!set_budget} budget and the ambient per-task
-    {!Sqed_resil.Budget.current} budget; the same poll sites also
-    observe {!Sqed_resil.Budget.cancel} on either budget, which is how a
-    portfolio arbiter stops a losing worker. *)
+    to the root state before returning.  The search is bounded by the
+    calling domain's budget ({!Sqed_resil.Budget.current}, read once at
+    entry): its remaining conflict allowance caps the search, its
+    deadline and a {!Sqed_resil.Budget.cancel} are polled every 1024
+    conflicts and at restart and learnt-DB reduction boundaries, and the
+    conflicts spent are charged to it on return.  When it runs out the
+    answer is [Unknown].  Narrow it for one call with
+    {!Sqed_resil.Budget.within}. *)
 
 val last_interrupt : t -> Sqed_resil.Budget.reason option
 (** Why the most recent {!solve} returned [Unknown] — [Deadline] for a
@@ -127,22 +125,15 @@ val note_interrupt : t -> Sqed_resil.Budget.reason -> unit
 
 (** {1 Resource budgets}
 
-    See {!Sqed_resil.Budget}.  An installed budget governs every
-    subsequent [solve] (deadline and conflict cap, charged as searches
-    consume conflicts) and is polled by the encoding layers through
-    {!check_budget} so bit-blasting and preprocessing are bounded too,
-    not just the CDCL loop. *)
+    A solver holds no budget.  Searching ({!solve}), preprocessing and
+    the encoding layers all read the calling domain's
+    {!Sqed_resil.Budget.current}, so one budget bounds bit-blasting,
+    preprocessing and the CDCL loop alike. *)
 
-val set_budget : t -> Sqed_resil.Budget.t -> unit
-(** Install a budget ({!Sqed_resil.Budget.unlimited} to clear). *)
-
-val budget : t -> Sqed_resil.Budget.t
-(** The installed budget ({!Sqed_resil.Budget.unlimited} when none). *)
-
-val check_budget : t -> unit
-(** Cooperative cancellation point for work feeding this solver: raises
-    {!Sqed_resil.Budget.Exhausted} when the installed or ambient
-    per-task budget is spent. *)
+val check_budget : unit -> unit
+(** Cooperative cancellation point for encoding work feeding a solver: a
+    {!Sqed_resil.Budget.check} of the calling domain's budget, raising
+    {!Sqed_resil.Budget.Exhausted} once it is spent. *)
 
 val value : t -> int -> bool
 (** Model value of a variable after a [Sat] answer.  Unconstrained variables
@@ -237,7 +228,7 @@ val clone : t -> t
 (** Deep-copy the solver for an independent worker: problem and learnt
     clauses (fresh literal arrays — propagation mutates them in place),
     level-0 trail, saved phases, activities and elimination state.  The
-    clone has auto-simplify off, no budget, no exchange, zero counters
+    clone has auto-simplify off, no exchange, zero counters
     and {!default_strategy}.  Only valid at decision level 0. *)
 
 val adopt : t -> winner:t -> unit

@@ -297,7 +297,7 @@ let check_budget t =
   (* Feed the live node count to the sampler before the budget poll so
      a mid-conversion sample sees the instance as it grows. *)
   Sqed_obs.Sampler.note_aig_nodes t.n;
-  Sat.check_budget t.sat
+  Sat.check_budget ()
 
 (* Polarity masks: bit 0 = positive (lit -> cone), bit 1 = negative. *)
 let mask_of = function Pos -> 1 | Neg -> 2 | Both -> 3
@@ -325,7 +325,7 @@ let process_stack t =
        they are definitional obligations of literals already handed
        out, so [drain] must run them before the next solve.  Clearing
        the stack instead would be unsound. *)
-    Sat.check_budget t.sat;
+    Sat.check_budget ();
     t.stack_sz <- t.stack_sz - 1;
     let item = t.stack.(t.stack_sz) in
     let n = item lsr 2 and want = item land 3 in

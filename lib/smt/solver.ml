@@ -56,18 +56,15 @@ let create ?config () =
   }
 
 let set_portfolio_active s b = s.portfolio_active <- b
-let portfolio_width s = s.config.portfolio
 let last_unknown s = s.last_unknown
-
-let set_budget s b = Sat.set_budget s.sat b
-let budget s = Sat.budget s.sat
 
 let assert_ s t =
   if Term.width t <> 1 then invalid_arg "Solver.assert_: width <> 1";
   s.has_model <- false;
-  (* May raise [Budget.Exhausted] mid-encoding when a budget is
-     installed; the half-done work is remembered and finished by the
-     next [check] (which also re-raises nothing: it maps to Unknown). *)
+  (* May raise [Budget.Exhausted] mid-encoding when the calling domain's
+     budget runs out; the half-done work is remembered and finished by
+     the next [check] (which also re-raises nothing: it maps to
+     Unknown). *)
   Trace.with_span sp_blast (fun () -> Bitblast.assert_bool s.blaster t)
 
 let check ?(assumptions = []) ?max_conflicts ?deadline s =
@@ -75,29 +72,12 @@ let check ?(assumptions = []) ?max_conflicts ?deadline s =
       s.has_model <- false;
       Metrics.incr m_checks;
       let t0 = if !Metrics.enabled then Unix.gettimeofday () else 0.0 in
-      (* A per-call deadline must bound the *whole* check — encoding
-         included, which dominates on blast-heavy instances — so install
-         it as the solver budget for the duration of the call, merged
-         with (never loosening) any budget the caller installed. *)
-      let installed = Sat.budget s.sat in
-      let conflicts0 = (Sat.stats s.sat).Sat.conflicts in
-      (match deadline with
-      | Some d when d < Budget.deadline installed ->
-          Sat.set_budget s.sat (Budget.create ~deadline:d ())
-      | _ -> ());
-      let restore () =
-        if Sat.budget s.sat != installed then begin
-          (* Conflicts spent under the temporary budget still count
-             against the installed one. *)
-          Budget.charge installed
-            ((Sat.stats s.sat).Sat.conflicts - conflicts0);
-          Sat.set_budget s.sat installed
-        end
-      in
       s.last_unknown <- None;
       let r =
         try
-          Fun.protect ~finally:restore (fun () ->
+          (* The per-call limits bound the *whole* check — encoding
+             included, which dominates on blast-heavy instances. *)
+          Budget.within ?deadline ?max_conflicts (fun () ->
               (* Finish encoding work a budget-aborted assert left
                  behind — solving with missing definitional clauses
                  would be unsound. *)
@@ -112,11 +92,8 @@ let check ?(assumptions = []) ?max_conflicts ?deadline s =
                 if s.config.portfolio > 1 && s.portfolio_active then
                   Portfolio.solve ~k:s.config.portfolio
                     ~deterministic:s.config.portfolio_deterministic
-                    ~assumptions:assumption_lits ?max_conflicts ?deadline
-                    s.sat
-                else
-                  Sat.solve ~assumptions:assumption_lits ?max_conflicts
-                    ?deadline s.sat
+                    ~assumptions:assumption_lits s.sat
+                else Sat.solve ~assumptions:assumption_lits s.sat
               in
               match verdict with
               | Sat.Sat ->

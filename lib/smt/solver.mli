@@ -62,9 +62,6 @@ val set_portfolio_active : t -> bool -> unit
 (** Per-query portfolio gate (off on a fresh solver).  No-op unless the
     solver was created with a portfolio width above 1. *)
 
-val portfolio_width : t -> int
-(** The width this solver was created with (1 = single engine). *)
-
 val last_unknown : t -> Sqed_resil.Budget.reason option
 (** Why the most recent {!check} returned [Unknown]: the SAT core's
     {!Sqed_sat.Sat.last_interrupt}, or the budget-exhaustion reason when
@@ -72,25 +69,21 @@ val last_unknown : t -> Sqed_resil.Budget.reason option
     [Sat]/[Unsat]. *)
 
 val assert_ : t -> Term.t -> unit
-(** Assert a width-1 term.  Under an installed {!set_budget} (or an
-    ambient per-task budget) this may raise
+(** Assert a width-1 term.  Under a limited calling-domain budget
+    ({!Sqed_resil.Budget.current}) this may raise
     {!Sqed_resil.Budget.Exhausted} mid-encoding; the partial work is
     remembered and finished automatically by the next {!check}. *)
 
 val check :
   ?assumptions:Term.t list -> ?max_conflicts:int -> ?deadline:float -> t -> result
-(** [deadline] is an absolute wall-clock instant bounding the whole
-    call — bit-blasting of assumptions and pending asserts as well as
-    the CDCL search (encoding dominates on blast-heavy instances).
-    Budget exhaustion anywhere in the call yields [Unknown]; the solver
-    stays reusable (incremental state intact, unfinished encoding
-    completed on the next call). *)
-
-val set_budget : t -> Sqed_resil.Budget.t -> unit
-(** Install a budget governing every subsequent [assert_]/[check]
-    ({!Sqed_resil.Budget.unlimited} to clear). *)
-
-val budget : t -> Sqed_resil.Budget.t
+(** The call runs under the calling domain's budget narrowed by
+    {!Sqed_resil.Budget.within} to [deadline] (an absolute wall-clock
+    instant) and [max_conflicts]; that one budget bounds the whole call
+    — bit-blasting of assumptions and pending asserts as well as the
+    CDCL search (encoding dominates on blast-heavy instances).  Budget
+    exhaustion anywhere in the call yields [Unknown]; the solver stays
+    reusable (incremental state intact, unfinished encoding completed on
+    the next call). *)
 
 val model_var : t -> Term.t -> Bv.t
 (** Value of a variable term in the last model.  Variables the solver never

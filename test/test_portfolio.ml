@@ -171,17 +171,18 @@ let test_cancellation_reusable () =
     (Portfolio.solve ~deterministic:false ~k:3 s);
   Alcotest.check result_t "plain solve agrees" Sat.Unsat (Sat.solve s)
 
-(* Budget exhaustion mid-portfolio: an installed conflict budget far too
-   small for the instance must yield Unknown with the Conflicts reason,
-   charge the caller's budget, and leave the master reusable once the
-   budget is lifted. *)
+(* Budget exhaustion mid-portfolio: a calling-domain conflict budget far
+   too small for the instance must yield Unknown with the Conflicts
+   reason, charge the caller's budget, and leave the master reusable once
+   the budget is lifted. *)
 let test_budget_exhaustion () =
   List.iter
     (fun deterministic ->
       let s, _ = load ~simplify:false ~nvars:(php_nvars 7) (php 7) in
       let b = Budget.create ~max_conflicts:40 () in
-      Sat.set_budget s b;
-      let r = Portfolio.solve ~deterministic ~k:3 s in
+      let r =
+        Budget.with_current b (fun () -> Portfolio.solve ~deterministic ~k:3 s)
+      in
       Alcotest.check result_t "unknown under tiny budget" Sat.Unknown r;
       (match Sat.last_interrupt s with
       | Some (Budget.Conflicts | Budget.Deadline) -> ()
@@ -194,10 +195,25 @@ let test_budget_exhaustion () =
         "caller budget charged" true
         (Budget.conflicts_remaining b < 40);
       (* Lift the budget: the master must still finish the instance. *)
-      Sat.set_budget s Budget.unlimited;
       Alcotest.check result_t "reusable after exhaustion" Sat.Unsat
         (Portfolio.solve ~deterministic ~k:3 s))
     [ true; false ]
+
+(* A deadline that runs out mid-race in round-robin mode is reported as
+   [Deadline]: every worker that spent a slice ended it on [Conflicts],
+   which is not why the race stopped.  PHP(10) outlasts the deadline by
+   far, so the reason does not depend on how many slices fit in it. *)
+let test_round_robin_deadline_reason () =
+  let s, _ = load ~simplify:false ~nvars:(php_nvars 10) (php 10) in
+  let b = Budget.create ~deadline:(Unix.gettimeofday () +. 0.3) () in
+  let r =
+    Budget.with_current b (fun () ->
+        Portfolio.solve ~deterministic:true ~k:3 s)
+  in
+  Alcotest.check result_t "unknown past the deadline" Sat.Unknown r;
+  Alcotest.(check bool)
+    "reason is the deadline" true
+    (Sat.last_interrupt s = Some Budget.Deadline)
 
 (* A one-worker portfolio is exactly the single engine. *)
 let test_k1_passthrough () =
@@ -330,6 +346,8 @@ let suite =
       test_cancellation_reusable;
     Alcotest.test_case "budget exhaustion mid-portfolio" `Quick
       test_budget_exhaustion;
+    Alcotest.test_case "round-robin deadline reason" `Quick
+      test_round_robin_deadline_reason;
     Alcotest.test_case "k=1 is the single engine" `Quick test_k1_passthrough;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false) props

@@ -74,6 +74,68 @@ let test_budget_ambient () =
     "restored outside" true
     (Budget.is_unlimited (Budget.current ()))
 
+let test_within_narrows () =
+  let now = Unix.gettimeofday () in
+  let parent = Budget.create ~deadline:(now +. 100.0) ~max_conflicts:50 () in
+  Budget.with_current parent (fun () ->
+      Budget.within ~deadline:(now +. 10.0) ~max_conflicts:80 (fun () ->
+          let c = Budget.current () in
+          Alcotest.(check bool) "tighter deadline (argument)" true
+            (Budget.deadline c = now +. 10.0);
+          Alcotest.(check int) "smaller allowance (parent)" 50
+            (Budget.conflicts_remaining c));
+      Budget.within ~deadline:(now +. 1000.0) ~max_conflicts:20 (fun () ->
+          let c = Budget.current () in
+          Alcotest.(check bool) "tighter deadline (parent)" true
+            (Budget.deadline c = now +. 100.0);
+          Alcotest.(check int) "smaller allowance (argument)" 20
+            (Budget.conflicts_remaining c)))
+
+let test_within_no_limits () =
+  let parent = Budget.create ~max_conflicts:9 () in
+  Budget.with_current parent (fun () ->
+      Budget.within (fun () ->
+          Alcotest.(check bool) "same budget inside" true
+            (Budget.current () == parent)))
+
+let test_within_charges_parent () =
+  let parent = Budget.create ~max_conflicts:100 () in
+  Budget.with_current parent (fun () ->
+      Budget.within ~max_conflicts:50 (fun () ->
+          Budget.charge (Budget.current ()) 7);
+      Alcotest.(check int) "charged on normal exit" 93
+        (Budget.conflicts_remaining parent);
+      (try
+         Budget.within ~deadline:(Unix.gettimeofday () +. 60.0) (fun () ->
+             Budget.charge (Budget.current ()) 3;
+             failwith "boom")
+       with Failure _ -> ());
+      Alcotest.(check int) "charged when f raises" 90
+        (Budget.conflicts_remaining parent))
+
+let test_within_sees_cancel () =
+  let parent = Budget.create ~max_conflicts:1000 () in
+  Budget.with_current parent (fun () ->
+      Budget.within ~max_conflicts:10 (fun () ->
+          let child = Budget.current () in
+          Alcotest.(check bool) "live before" true (Budget.over child = None);
+          Budget.cancel parent;
+          Alcotest.(check bool) "child over reports Cancelled" true
+            (Budget.over child = Some Budget.Cancelled)))
+
+let test_within_outer_deadline_wins () =
+  let s = Solver.create () in
+  let x = Term.var "w_x" 8 and y = Term.var "w_y" 8 in
+  Solver.assert_ s (Term.eq (Term.add x y) (Term.of_int ~width:8 5));
+  let now = Unix.gettimeofday () in
+  let r =
+    Budget.with_current (Budget.create ~deadline:(now -. 1.0) ()) (fun () ->
+        Solver.check ~deadline:(now +. 60.0) s)
+  in
+  Alcotest.(check bool) "unknown" true (r = Solver.Unknown);
+  Alcotest.(check bool) "reason deadline" true
+    (Solver.last_unknown s = Some Budget.Deadline)
+
 (* ---- fault injection ------------------------------------------------- *)
 
 let test_fault_nth () =
@@ -294,16 +356,18 @@ let test_sat_interrupted_agrees () =
     let second = random_cnf st ids nvars in
     List.iter (Sat.add_clause s_int) first;
     List.iter (Sat.add_clause s_ref) first;
-    (* Interrupt: a conflict cap of zero stops the search at the first
-       conflict; trivially decided instances may still answer. *)
-    (match Sat.solve ~max_conflicts:0 s_int with
+    (* Interrupt: an allowance of zero stops the search at its first
+       poll; instances decided at level 0 may still answer. *)
+    (match Budget.within ~max_conflicts:0 (fun () -> Sat.solve s_int) with
     | Sat.Sat | Sat.Unsat | Sat.Unknown -> ());
-    (* Also interrupt via an installed budget that is already spent. *)
-    Sat.set_budget s_int (Budget.create ~deadline:(Unix.gettimeofday () -. 1.0) ());
-    (match Sat.solve s_int with
+    (* Also interrupt via a calling-domain budget that is already spent. *)
+    (match
+       Budget.with_current
+         (Budget.create ~deadline:(Unix.gettimeofday () -. 1.0) ())
+         (fun () -> Sat.solve s_int)
+     with
     | Sat.Unknown -> ()
     | Sat.Sat | Sat.Unsat -> ());
-    Sat.set_budget s_int Budget.unlimited;
     (* Continue incrementally on both and compare final verdicts. *)
     List.iter (Sat.add_clause s_int) second;
     List.iter (Sat.add_clause s_ref) second;
@@ -419,6 +483,15 @@ let suite =
     Alcotest.test_case "budget: conflict cap" `Quick test_budget_conflicts;
     Alcotest.test_case "budget: cancel" `Quick test_budget_cancel;
     Alcotest.test_case "budget: ambient binding" `Quick test_budget_ambient;
+    Alcotest.test_case "budget: within narrows" `Quick test_within_narrows;
+    Alcotest.test_case "budget: within without limits" `Quick
+      test_within_no_limits;
+    Alcotest.test_case "budget: within charges parent" `Quick
+      test_within_charges_parent;
+    Alcotest.test_case "budget: within sees cancel" `Quick
+      test_within_sees_cancel;
+    Alcotest.test_case "budget: outer deadline bounds check" `Quick
+      test_within_outer_deadline_wins;
     Alcotest.test_case "fault: site:N" `Quick test_fault_nth;
     Alcotest.test_case "fault: site:N/M" `Quick test_fault_every;
     Alcotest.test_case "fault: malformed specs" `Quick test_fault_spec_errors;
