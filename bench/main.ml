@@ -13,12 +13,12 @@
    cell is one solver campaign, not a repeatable microbenchmark); micro
    uses Bechamel's OLS estimator.
 
-   The synthesis campaign (fig3) and the per-bug BMC campaign (table1)
-   fan their independent cells out over a Sqed_par.Pool of --jobs worker
-   domains (default: the SEPE_JOBS environment knob, then the machine's
-   core count).  Cells are fully independent (each owns its solvers and
-   its domain-local term universe), so results are identical for every
-   jobs value; only the wall clock changes.
+   The synthesis campaign (fig3) and the per-bug BMC campaigns (table1,
+   fig4) fan their independent cells out over a Sqed_par.Pool of --jobs
+   worker domains (default: the SEPE_JOBS environment knob, then the
+   machine's core count).  Cells are fully independent (each owns its
+   solvers and its domain-local term universe), so results are identical
+   for every jobs value; only the wall clock changes.
 
    A machine-readable summary of every experiment run is written to
    BENCH_sepe.json (--json PATH overrides the location).  The shared run
@@ -36,7 +36,6 @@ module Span = Sqed_obs.Trace
 
 module Campaign = Sqed_par.Campaign
 module Verdict = Sqed_resil.Verdict
-module Sampler = Sqed_obs.Sampler
 module Solver = Sqed_smt.Solver
 module Json = Sqed_obs.Json
 module Session = Sqed_exp.Session
@@ -44,7 +43,7 @@ module Session = Sqed_exp.Session
 (* The bench's own flags, set once by [main] before any experiment runs. *)
 let fast = ref false
 let jobs = ref 0 (* 0 = Pool.default_jobs () *)
-let checkpoint = ref None (* --checkpoint FILE: journal + resume fig3/table1 *)
+let checkpoint = ref None (* --checkpoint FILE: journal + resume campaigns *)
 
 (* --handicap F: burn F x the measured CPU time inside every experiment
    timer, multiplying br_cpu by 1+F (and stretching br_wall).  Exists
@@ -187,6 +186,29 @@ let table1_focus bug =
           | Some op -> Some (Sqed_qed.Equiv_table.Ki op)
           | None -> if row = "SW" then Some Sqed_qed.Equiv_table.Ksw else None))
 
+(* A per-bug campaign whose task renders one table row: supervised
+   fan-out with checkpoint/resume, like fig3.  A journaled row is
+   reprinted verbatim, a failed bug prints one FAILED line and no row. *)
+let campaign_rows ~budget ~key label run_bug bugs =
+  Campaign.run ~jobs:(jobs_used ()) ~task_budget:budget
+    ?checkpoint:
+      (Option.map
+         (fun path ->
+           ( path,
+             {
+               Campaign.encode = (fun row -> Json.String row);
+               decode = Json.to_string_opt;
+             } ))
+         !checkpoint)
+    ~detail:Fun.id ~key label
+    (fun bug -> Verdict.Ok (run_bug bug))
+    bugs
+
+(* Rows print in catalogue order once every bug has finished. *)
+let print_rows (verdicts, summary) =
+  List.iter (function Verdict.Ok row -> print_endline row | _ -> ()) verdicts;
+  note_summary summary
+
 let table1 () =
   section
     "Table 1 - injected single-instruction bugs\n\
@@ -274,30 +296,10 @@ let table1 () =
     if !fast then [ Bug.Bug_add; Bug.Bug_xor; Bug.Bug_sw ]
     else Bug.all_single
   in
-  (* Supervised fan-out with checkpoint/resume, like fig3: a journaled row
-     is reprinted verbatim, a failed bug prints one FAILED line and no
-     row. *)
-  let verdicts, summary =
-    Campaign.run ~jobs:(jobs_used ()) ~task_budget:budget
-      ?checkpoint:
-        (Option.map
-           (fun path ->
-             ( path,
-               {
-                 Campaign.encode = (fun row -> Json.String row);
-                 decode = Json.to_string_opt;
-               } ))
-           !checkpoint)
-      ~detail:Fun.id
-      ~key:(fun bug -> "table1/" ^ Bug.name bug)
-      "table1"
-      (fun bug -> Verdict.Ok (run_bug bug))
-      bugs
-  in
-  List.iter
-    (function Verdict.Ok row -> print_endline row | _ -> ())
-    verdicts;
-  note_summary summary
+  print_rows
+    (campaign_rows ~budget
+       ~key:(fun bug -> "table1/" ^ Bug.name bug)
+       "table1" run_bug bugs)
 
 (* ------------------------------------------------------------------ *)
 (* E3 / Fig. 4: multiple-instruction bugs                              *)
@@ -326,27 +328,28 @@ let fig4 () =
           | _ -> "    clean"),
           None )
   in
+  let run_bug bug =
+    let cfg = bug_config bug base in
+    let sqed = V.run ~bug ~method_:V.Sqed ~bound ~time_budget:budget cfg in
+    let sepe = V.run ~bug ~method_:V.Sepe_sqed ~bound ~time_budget:budget cfg in
+    let c1, m1 = cell sqed and c2, m2 = cell sepe in
+    let ratios =
+      match (m1, m2) with
+      | Some (t1, l1), Some (t2, l2) ->
+          Printf.sprintf "%9.2f %9.2f" (t1 /. t2)
+            (Float.of_int l1 /. Float.of_int l2)
+      | _ -> ""
+    in
+    Printf.sprintf "%-18s %14s %14s %s" (Bug.name bug) c1 c2 ratios
+  in
   let bugs =
     if !fast then [ Bug.Bug_fwd_mem_rs1; Bug.Bug_load_use_stall ]
     else Bug.all_multi
   in
-  List.iter
-    (fun bug ->
-      let cfg = bug_config bug base in
-      let sqed = V.run ~bug ~method_:V.Sqed ~bound ~time_budget:budget cfg in
-      let sepe =
-        V.run ~bug ~method_:V.Sepe_sqed ~bound ~time_budget:budget cfg
-      in
-      let c1, m1 = cell sqed and c2, m2 = cell sepe in
-      let ratios =
-        match (m1, m2) with
-        | Some (t1, l1), Some (t2, l2) ->
-            Printf.sprintf "%9.2f %9.2f" (t1 /. t2)
-              (Float.of_int l1 /. Float.of_int l2)
-        | _ -> ""
-      in
-      Printf.printf "%-18s %14s %14s %s\n%!" (Bug.name bug) c1 c2 ratios)
-    bugs
+  print_rows
+    (campaign_rows ~budget
+       ~key:(fun bug -> "fig4/" ^ Bug.name bug)
+       "fig4" run_bug bugs)
 
 (* ------------------------------------------------------------------ *)
 (* E4: classical CEGIS fails within budget                             *)
@@ -670,7 +673,7 @@ let main session names fast' jobs' json checkpoint' handicap' =
          Metrics counters, and the sampler rides along so a summary never
          hides an empty time series. *)
       Metrics.enabled := true;
-      Sampler.enabled := true;
+      Span.sampling := true;
       Printf.printf "worker domains: %d (SEPE_JOBS or --jobs N to change)\n%!"
         (jobs_used ());
       List.iter (fun n -> timed n (List.assoc n all)) names;
@@ -703,13 +706,13 @@ let () =
     $ opt
         Arg.(some (checked int "a positive integer" (fun n -> n > 0)))
         None "jobs" "N"
-        "Worker domains for the fig3 and table1 fan-outs (default: the \
+        "Worker domains for the fig3, table1 and fig4 fan-outs (default: the \
          SEPE_JOBS environment variable, then the core count)."
     $ opt Arg.string "BENCH_sepe.json" "json" "FILE"
         "Where to write the machine-readable summary."
     $ opt Arg.(some string) None "checkpoint" "FILE"
-        "Journal completed fig3/table1 cells to $(docv) and resume from it: \
-         a rerun with the same file skips journaled cells."
+        "Journal completed fig3, table1 and fig4 cells to $(docv) and resume \
+         from it: a rerun with the same file skips journaled cells."
     $ opt
         (checked Arg.float "a non-negative factor" (fun f -> f >= 0.0))
         0.0 "handicap" "F"

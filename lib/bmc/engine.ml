@@ -118,6 +118,9 @@ let check ?max_conflicts ?time_budget ?(start_bound = 1)
   (try
      for k = 1 to bound do
        try
+       (* Polled before the depth, so [Gave_up k] always means every
+          depth below k is settled and depth k is not. *)
+       Option.iter (fun r -> raise (Budget.Exhausted r)) (Budget.over budget);
        (* The whole depth (unrolling included) sits in one span; [Exit]
           raised on a counterexample still closes it via Fun.protect. *)
        Span.with_span ~args:[ ("k", string_of_int k) ] sp_depth @@ fun () ->
@@ -152,16 +155,11 @@ let check ?max_conflicts ?time_budget ?(start_bound = 1)
            gave_up_reason := Solver.last_unknown solver;
            raise Exit)
        end;
-       progress k (Unix.gettimeofday () -. started);
-       (match Budget.over budget with
-       | Some r ->
-           result := Gave_up k;
-           gave_up_reason := Some r;
-           raise Exit
-       | None -> ())
+       progress k (Unix.gettimeofday () -. started)
        with Budget.Exhausted r ->
-         (* Budget died during unrolling/encoding (Solver.check maps its
-            own exhaustion to Unknown): an inconclusive depth. *)
+         (* Budget died before or during unrolling/encoding
+            (Solver.check maps its own exhaustion to Unknown): an
+            inconclusive depth. *)
          result := Gave_up k;
          gave_up_reason := Some r;
          raise Exit
@@ -221,6 +219,7 @@ let prove ?max_conflicts ?time_budget ~max_k model =
   (try
      for k = 1 to max_k do
        try
+       Option.iter (fun r -> raise (Budget.Exhausted r)) (Budget.over budget);
        Solver.set_portfolio_active base_solver (k >= default_portfolio_from);
        Solver.set_portfolio_active step_solver (k >= default_portfolio_from);
        (* base: no counterexample of depth k *)
@@ -265,13 +264,7 @@ let prove ?max_conflicts ?time_budget ~max_k model =
        | Solver.Unknown ->
            result := Proof_gave_up k;
            gave_up_reason := Solver.last_unknown step_solver;
-           raise Exit);
-       (match Budget.over budget with
-       | Some r ->
-           result := Proof_gave_up k;
-           gave_up_reason := Some r;
-           raise Exit
-       | None -> ())
+           raise Exit)
        with Budget.Exhausted r ->
          result := Proof_gave_up k;
          gave_up_reason := Some r;

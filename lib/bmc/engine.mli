@@ -10,8 +10,10 @@ type outcome =
   | Counterexample of Trace.t
   | No_counterexample  (** the property holds up to the bound *)
   | Gave_up of int
-      (** solver budget exhausted at this depth; [stats.gave_up] says
-          whether the wall-clock deadline or the conflict cap ran out *)
+      (** every depth below this one is clean and this depth is not
+          settled: the budget ran out before or while checking it;
+          [stats.gave_up] says whether the wall-clock deadline, the
+          conflict cap or a cancel ended it *)
 
 type stats = {
   bounds_checked : int;
@@ -43,7 +45,8 @@ val check :
     included: it narrows the calling domain's budget with
     {!Sqed_resil.Budget.within}.  [max_conflicts] caps each depth's
     check.  [progress] is called after each depth with the depth and
-    the elapsed seconds.  [start_bound] skips the (expensive,
+    the elapsed seconds.  The budget is polled before each depth, so a
+    budget that ends after the last depth leaves [No_counterexample].  [start_bound] skips the (expensive,
     necessarily clean) property checks below the given depth when the
     shortest possible counterexample length is known; constraints are
     still asserted for every step.  [portfolio_from] (default
@@ -75,6 +78,9 @@ type proof_outcome =
   | Base_cex of Trace.t  (** the base case found a real counterexample *)
   | Not_inductive of int  (** no k up to the limit closed the induction *)
   | Proof_gave_up of int
+      (** every k below this one was settled (clean base case, spurious
+          step) and this k is not: the budget ran out before or while
+          checking it *)
 
 val prove :
   ?max_conflicts:int ->

@@ -1,8 +1,6 @@
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
-module Span = Sqed_obs.Trace
-module Log = Sqed_obs.Log
-module Sampler = Sqed_obs.Sampler
+module Trace = Sqed_obs.Trace
 module Progress = Sqed_obs.Progress
 module Report = Sqed_obs.Report
 module History = Sqed_obs.History
@@ -17,7 +15,7 @@ type t = {
   metrics_json : string option;
   trace : string option;
   log : string option;
-  log_level : Log.level;
+  log_level : Trace.level;
   progress : bool;
   report : string option;
   ledger : string option;
@@ -35,8 +33,13 @@ let term =
     Arg.(
       value
       & opt
-          (enum [ ("debug", Log.Debug); ("info", Log.Info); ("warn", Log.Warn) ])
-          Log.Info
+          (enum
+             [
+               ("debug", Trace.Debug);
+               ("info", Trace.Info);
+               ("warn", Trace.Warn);
+             ])
+          Trace.Info
       & info [ "log-level" ] ~docv:"LEVEL"
           ~doc:
             "Minimum level for $(b,--log) records. $(b,debug) adds \
@@ -227,24 +230,24 @@ let install s =
     (* Tracing needs the timers too, so the trace and the phase table
        tell the same story. *)
     Metrics.enabled := true;
-    Span.enabled := true
+    Trace.enabled := true
   end;
-  Option.iter (Log.set_sink ~level:s.log_level) s.log;
+  Option.iter (Trace.set_sink ~level:s.log_level) s.log;
   if s.progress then Progress.enabled := true;
   if s.report <> None || s.ledger <> None || s.baseline <> None then begin
     (* The report and the ledger payload embed the metrics and the
-       sampler series, so both recorders must run. *)
+       sample series, so both must be recorded. *)
     Metrics.enabled := true;
-    Sampler.enabled := true
+    Trace.sampling := true
   end
 
 let write_artifacts s ~title ~cmdline =
   Option.iter
     (fun path ->
-      Span.export path;
-      let d = Span.dropped () in
+      Trace.export path;
+      let d = Trace.dropped () in
       Printf.printf "trace: %d events -> %s%s\n"
-        (Span.held ())
+        (Trace.held ())
         (if path = "-" then "<stdout>" else path)
         (if d > 0 then Printf.sprintf " (%d dropped)" d else ""))
     s.trace;
@@ -305,7 +308,7 @@ let run s ~kind ~label ~jobs ~fast ?payload body =
           History.append path (Lazy.force entry);
           Printf.printf "ledger: appended run to %s\n" path)
         s.ledger;
-      Log.close_sink ())
+      Trace.close_sink ())
     (fun () -> summary := body ());
   let code = exit_code !summary ~regressed:!regressed in
   if Verdict.degraded !summary || !summary.Verdict.skipped > 0 then
@@ -313,11 +316,11 @@ let run s ~kind ~label ~jobs ~fast ?payload body =
   if Verdict.degraded !summary then begin
     (* Close the flight recorder with the last warnings, so the reason is
        visible without re-running under --log. *)
-    let tail = Log.tail ~min_level:Log.Warn 10 in
+    let tail = Trace.tail ~min_level:Trace.Warn 10 in
     if tail <> [] then begin
       flush stdout;
       Printf.eprintf "last %d warning/error events:\n" (List.length tail);
-      Log.dump_tail ~min_level:Log.Warn 10 stderr
+      List.iter (fun e -> prerr_endline (Json.to_string (Trace.to_json e))) tail
     end
   end;
   code

@@ -103,11 +103,11 @@ let render_locked now =
             && not (Hashtbl.mem st.stalled w)
           then begin
             Hashtbl.replace st.stalled w ();
-            Log.warn "obs.progress.stall"
+            Trace.warn "obs.progress.stall"
               [
-                ("worker", Log.I w);
-                ("silent_s", Log.F (now -. hb));
-                ("budget_s", Log.F st.task_budget);
+                ("worker", Trace.I w);
+                ("silent_s", Trace.F (now -. hb));
+                ("budget_s", Trace.F st.task_budget);
               ]
           end)
         st.inflight;

@@ -7,7 +7,7 @@
     worker grinding through one long solve still proves liveness. ETA
     is projected from completed-case durations ({!eta}); a worker whose
     last heartbeat is older than [stall_factor ×] the per-case budget
-    is flagged as stalled and logged once through {!Log}.
+    is flagged as stalled and logged once as a {!Trace} point.
 
     Everything is inert until {!enabled} is set (the [--progress] flag)
     and a campaign is active: {!beat} then costs one boolean load plus

@@ -146,11 +146,11 @@ let run_json ~title ~cmdline ~now =
       ("generated_unix_s", Json.Float now);
       ("wall_s", Json.Float (now -. !started));
       ("metrics", Metrics.to_json ());
-      ("samples", Sampler.to_json ());
+      ("samples", Trace.samples_json ());
       ("trace_dropped", Json.Int (Trace.dropped ()));
-      ("log_dropped", Json.Int (Log.dropped ()));
+      ("log_dropped", Json.Int (Trace.log_dropped ()));
       ("cases", Json.List (List.map case_json (cases ())));
-      ("log_tail", Json.List (List.map Log.to_json (Log.tail 100)));
+      ("log_tail", Json.List (List.map Trace.to_json (Trace.tail 100)));
     ]
 
 let run_payload ?(title = "sepe-sqed run") ?(cmdline = "") () =
@@ -333,38 +333,41 @@ let cases_table rows =
     ^ "</table>"
 
 let log_tail_html () =
-  let evs = Log.tail 50 in
+  let evs = Trace.tail 50 in
   if evs = [] then "<p class=\"sub\">log ring empty</p>"
   else
     let line e =
       let cls =
-        match e.Log.lg_level with
-        | Log.Warn -> " class=\"lw\""
-        | Log.Error -> " class=\"le\""
+        match e.Trace.body with
+        | Trace.Point { level = Trace.Warn; _ } -> " class=\"lw\""
+        | Trace.Point { level = Trace.Error; _ } -> " class=\"le\""
         | _ -> ""
       in
       Printf.sprintf "<span%s>%s</span>" cls
-        (html_escape (Json.to_string (Log.to_json e)))
+        (html_escape (Json.to_string (Trace.to_json e)))
     in
     {|<div class="log">|} ^ String.concat "\n" (List.map line evs) ^ "</div>"
 
 let sparks_html () =
+  let series = Trace.series () in
   let per_series extract =
-    List.map (fun (_dom, samples) -> List.map extract samples) (Sampler.series ())
+    List.map
+      (fun (_dom, samples) -> List.map (fun (_ts, s) -> extract s) samples)
+      series
     |> List.filter (fun l -> l <> [])
   in
   let blocks =
     [
       spark_row ~name:"conflicts/s" ~unit_:""
-        (per_series (fun s -> s.Sampler.sm_conflicts_s));
+        (per_series (fun s -> s.Trace.sm_conflicts_s));
       spark_row ~name:"propagations/s" ~unit_:""
-        (per_series (fun s -> s.Sampler.sm_props_s));
+        (per_series (fun s -> s.Trace.sm_props_s));
       spark_row ~name:"learnt clauses" ~unit_:""
-        (per_series (fun s -> float_of_int s.Sampler.sm_learnts));
+        (per_series (fun s -> float_of_int s.Trace.sm_learnts));
       spark_row ~name:"AIG nodes" ~unit_:""
-        (per_series (fun s -> float_of_int s.Sampler.sm_aig_nodes));
+        (per_series (fun s -> float_of_int s.Trace.sm_aig_nodes));
       spark_row ~name:"heap words" ~unit_:""
-        (per_series (fun s -> float_of_int s.Sampler.sm_heap_words));
+        (per_series (fun s -> float_of_int s.Trace.sm_heap_words));
     ]
     |> List.filter (fun b -> b <> "")
   in
@@ -372,9 +375,9 @@ let sparks_html () =
     (* A blank time-series section usually means an instrumentation
        regression (sampler never enabled, poll sites unplugged), not an
        uninteresting run — say so in the flight log too. *)
-    if !Sampler.enabled then
-      Log.warn "obs.report.empty_series"
-        [ ("hint", Log.Str "sampler enabled but no samples recorded") ];
+    if !Trace.sampling then
+      Trace.warn "obs.report.empty_series"
+        [ ("hint", Trace.Str "sampler enabled but no samples recorded") ];
     "<p class=\"sub\">no samples recorded (sampler off or run too short)</p>"
   end
   else {|<div class="sparks">|} ^ String.concat "" blocks ^ "</div>"
@@ -464,7 +467,7 @@ let html ~title ~cmdline ~history ~now =
     ]
   in
   let trace_dropped = Trace.dropped () in
-  let log_dropped = Log.dropped () in
+  let log_dropped = Trace.log_dropped () in
   Printf.sprintf
     {|<!DOCTYPE html>
 <html lang="en"><head><meta charset="utf-8">

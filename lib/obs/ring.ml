@@ -3,8 +3,8 @@
 
 type 'a t = {
   capacity : int;
-  on_drop : unit -> unit;
-  mutable slots : 'a array; (* [||] until the first push *)
+  on_drop : 'a -> unit;
+  mutable slots : 'a array; (* grows by doubling until [capacity] *)
   mutable total : int;
 }
 
@@ -12,10 +12,21 @@ let create ?(on_drop = ignore) capacity =
   { capacity; on_drop; slots = [||]; total = 0 }
 
 let push r x =
-  if Array.length r.slots = 0 then r.slots <- Array.make r.capacity x
+  if r.total >= r.capacity then begin
+    let i = r.total mod r.capacity in
+    r.on_drop r.slots.(i);
+    r.slots.(i) <- x
+  end
   else begin
-    if r.total >= r.capacity then r.on_drop ();
-    r.slots.(r.total mod r.capacity) <- x
+    (* Below capacity nothing has wrapped, so entry [i] sits in slot
+       [i] and growing is a prefix copy. *)
+    let len = Array.length r.slots in
+    if r.total = len then begin
+      let grown = Array.make (min r.capacity (max 16 (2 * len))) x in
+      Array.blit r.slots 0 grown 0 len;
+      r.slots <- grown
+    end;
+    r.slots.(r.total) <- x
   end;
   r.total <- r.total + 1
 
@@ -28,6 +39,13 @@ let read_from r cursor =
   else List.init (r.total - lo) (fun i -> r.slots.((lo + i) mod r.capacity))
 
 let to_list r = read_from r 0
+
+let fold f acc r =
+  let acc = ref acc in
+  for i = max 0 (r.total - r.capacity) to r.total - 1 do
+    acc := f !acc r.slots.(i mod r.capacity)
+  done;
+  !acc
 
 let clear r =
   r.slots <- [||];

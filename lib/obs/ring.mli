@@ -1,7 +1,7 @@
 (** The flight recorder's storage and clock: one bounded ring that
     overwrites its oldest entry, per-domain values that outlive their
-    domain, and the epoch that {!Trace}, {!Log} and {!Sampler} stamp
-    against, so their timestamps lie on one axis.
+    domain, and the epoch that {!Trace} stamps its spans, log records
+    and samples against, so their timestamps lie on one axis.
 
     A ring is indexed by [total], the monotone count of pushes: entry
     [i] sits in slot [i mod capacity] and is held while
@@ -10,10 +10,11 @@
 
 type 'a t
 
-val create : ?on_drop:(unit -> unit) -> int -> 'a t
+val create : ?on_drop:('a -> unit) -> int -> 'a t
 (** [create cap] is an empty ring holding at most [cap > 0] entries.
-    The slot array is allocated by the first push.  [on_drop] runs once
-    for each entry as it is overwritten. *)
+    The slot array is allocated by the first push and grows by doubling
+    up to [cap], so a ring that holds a few entries holds a few slots.
+    [on_drop] receives each entry as it is overwritten. *)
 
 val push : 'a t -> 'a -> unit
 
@@ -29,6 +30,10 @@ val read_from : 'a t -> int -> 'a list
 
 val to_list : 'a t -> 'a list
 (** Every held entry, oldest first. *)
+
+val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
+(** [fold f acc r] folds [f] over the held entries, oldest first,
+    without building a list. *)
 
 val clear : 'a t -> unit
 (** Empty the ring, release its slots and zero {!total}. *)

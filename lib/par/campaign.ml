@@ -1,5 +1,5 @@
 module Json = Sqed_obs.Json
-module Log = Sqed_obs.Log
+module Trace = Sqed_obs.Trace
 module Progress = Sqed_obs.Progress
 module Report = Sqed_obs.Report
 module Journal = Sqed_resil.Journal
@@ -35,11 +35,11 @@ let run ?pool ?jobs ?task_budget ?task_deadline ?retries ?checkpoint
     | Some p -> Pool.jobs p
     | None -> Option.value jobs ~default:(Pool.default_jobs ())
   in
-  Log.info (label ^ ".start")
+  Trace.info (label ^ ".start")
     [
-      ("tasks", Log.I (List.length tasks));
-      ("resumed", Log.I n_resumed);
-      ("jobs", Log.I jobs);
+      ("tasks", Trace.I (List.length tasks));
+      ("resumed", Trace.I n_resumed);
+      ("jobs", Trace.I jobs);
     ];
   (* Journal inside the task (workers record concurrently; the journal is
      mutex-protected), so a crash mid-campaign loses at most the tasks in
@@ -114,11 +114,11 @@ let run ?pool ?jobs ?task_budget ?task_deadline ?retries ?checkpoint
       tasks
   in
   let summary = Verdict.count ~skipped:n_resumed computed in
-  Log.info (label ^ ".done")
+  Trace.info (label ^ ".done")
     [
-      ("ok", Log.I summary.Verdict.ok);
-      ("unknown", Log.I summary.Verdict.unknown);
-      ("failed", Log.I summary.Verdict.failed);
-      ("skipped", Log.I summary.Verdict.skipped);
+      ("ok", Trace.I summary.Verdict.ok);
+      ("unknown", Trace.I summary.Verdict.unknown);
+      ("failed", Trace.I summary.Verdict.failed);
+      ("skipped", Trace.I summary.Verdict.skipped);
     ];
   (verdicts, summary)

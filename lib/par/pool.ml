@@ -1,6 +1,5 @@
 module Metrics = Sqed_obs.Metrics
 module Trace = Sqed_obs.Trace
-module Log = Sqed_obs.Log
 module Progress = Sqed_obs.Progress
 module Budget = Sqed_resil.Budget
 module Fault = Sqed_resil.Fault
@@ -57,7 +56,7 @@ let default_jobs () =
   | None -> Domain.recommended_domain_count ()
 
 let worker p i =
-  Log.info "pool.worker.start" [ ("worker", Log.I i) ];
+  Trace.info "pool.worker.start" [ ("worker", Trace.I i) ];
   let rec loop () =
     Mutex.lock p.mutex;
     while Queue.is_empty p.queue && not p.closed do
@@ -66,7 +65,7 @@ let worker p i =
     if Queue.is_empty p.queue then begin
       Mutex.unlock p.mutex;
       (* closed: exit *)
-      Log.info "pool.worker.exit" [ ("worker", Log.I i) ]
+      Trace.info "pool.worker.exit" [ ("worker", Trace.I i) ]
     end
     else begin
       let task = Queue.pop p.queue in
@@ -152,11 +151,11 @@ let submit_batch p wrap n =
       Progress.task_end dt;
       (match fail with
       | Some (e, _) ->
-          Log.warn "pool.task.failed"
+          Trace.warn "pool.task.failed"
             [
-              ("worker", Log.I w);
-              ("task", Log.I i);
-              ("error", Log.Str (Printexc.to_string e));
+              ("worker", Trace.I w);
+              ("task", Trace.I i);
+              ("error", Trace.Str (Printexc.to_string e));
             ]
       | None -> ());
       (* Counter writes happen before the batch-done critical section: the
@@ -262,22 +261,22 @@ let run_supervised ~retries ~backoff ~task_deadline f x =
         in
         if transient && k < retries then begin
           Metrics.add_always m_retries 1;
-          Log.warn "resil.task.retry"
+          Trace.warn "resil.task.retry"
             [
-              ("attempt", Log.I (k + 1));
-              ("backoff_s", Log.F sleep);
-              ("error", Log.Str (Printexc.to_string e));
+              ("attempt", Trace.I (k + 1));
+              ("backoff_s", Trace.F sleep);
+              ("error", Trace.Str (Printexc.to_string e));
             ];
           Trace.with_span sp_retry (fun () -> Unix.sleepf sleep);
           attempt (k + 1) (sleep *. 2.)
         end
         else begin
           Metrics.add_always m_task_failures 1;
-          Log.warn "resil.task.failed"
+          Trace.warn "resil.task.failed"
             [
-              ("attempts", Log.I (k + 1));
-              ("exhausted", Log.B exhausted);
-              ("error", Log.Str (Printexc.to_string e));
+              ("attempts", Trace.I (k + 1));
+              ("exhausted", Trace.B exhausted);
+              ("error", Trace.Str (Printexc.to_string e));
             ];
           Error { error = Printexc.to_string e; attempts = k + 1; exhausted }
         end

@@ -65,8 +65,8 @@ let die b r =
   Metrics.add_always m_exhausted 1;
   (* Fires once per budget ([dead] is sticky and re-raises above), so an
      Info record here is cold. *)
-  Sqed_obs.Log.info "resil.budget.exhausted"
-    [ ("reason", Sqed_obs.Log.Str (string_of_reason r)) ];
+  Sqed_obs.Trace.info "resil.budget.exhausted"
+    [ ("reason", Sqed_obs.Trace.Str (string_of_reason r)) ];
   raise (Exhausted r)
 
 let check b =

@@ -114,8 +114,8 @@ let check name =
     if fire then Metrics.add_always m_injected 1;
     Mutex.unlock mutex;
     if fire then begin
-      Sqed_obs.Log.warn "resil.fault.injected"
-        [ ("site", Sqed_obs.Log.Str name) ];
+      Sqed_obs.Trace.warn "resil.fault.injected"
+        [ ("site", Sqed_obs.Trace.Str name) ];
       raise (Injected name)
     end
   end

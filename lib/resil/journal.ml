@@ -1,6 +1,6 @@
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
-module Log = Sqed_obs.Log
+module Trace = Sqed_obs.Trace
 module Jsonl = Sqed_obs.Jsonl
 
 let m_records = Metrics.counter "resil.checkpoint.records"
@@ -33,11 +33,11 @@ let open_ path =
   Metrics.add_always m_resumed resumed;
   Metrics.add_always m_torn torn;
   if torn > 0 then
-    Log.warn "resil.checkpoint.torn"
-      [ ("path", Log.Str path); ("lines", Log.I torn) ];
+    Trace.warn "resil.checkpoint.torn"
+      [ ("path", Trace.Str path); ("lines", Trace.I torn) ];
   if resumed > 0 then
-    Log.info "resil.checkpoint.resumed"
-      [ ("path", Log.Str path); ("entries", Log.I resumed) ];
+    Trace.info "resil.checkpoint.resumed"
+      [ ("path", Trace.Str path); ("entries", Trace.I resumed) ];
   { w = Jsonl.open_writer path; table; mutex = Mutex.create () }
 
 let mem t key = Mutex.protect t.mutex (fun () -> Hashtbl.mem t.table key)
@@ -59,8 +59,8 @@ let try_record t key result =
   | () -> Ok ()
   | exception e ->
       Metrics.add_always m_errors 1;
-      Log.warn "resil.checkpoint.write_failed"
-        [ ("key", Log.Str key); ("error", Log.Str (Printexc.to_string e)) ];
+      Trace.warn "resil.checkpoint.write_failed"
+        [ ("key", Trace.Str key); ("error", Trace.Str (Printexc.to_string e)) ];
       Error (Printexc.to_string e)
 
 let entries t = Mutex.protect t.mutex (fun () -> Hashtbl.length t.table)

@@ -6,7 +6,7 @@
 
 module Budget = Sqed_resil.Budget
 module Metrics = Sqed_obs.Metrics
-module Log = Sqed_obs.Log
+module Trace = Sqed_obs.Trace
 
 let m_solves = Metrics.counter "sat.portfolio.solves"
 let m_workers = Metrics.counter "sat.portfolio.workers"
@@ -154,14 +154,14 @@ let solve ?(assumptions = []) ?(deterministic = false) ~k s =
           let w = clones.(i) in
           Sat.set_strategy w (strategy_for i);
           Sat.set_exchange w (Some (exchange_for i));
-          Log.info "portfolio.worker.start"
+          Trace.info "portfolio.worker.start"
             [
-              ("worker", Log.I i);
-              ("deterministic", Log.B deterministic);
+              ("worker", Trace.I i);
+              ("deterministic", Trace.B deterministic);
               ( "scheduler",
-                Log.Str (if round_robin then "round-robin" else "parallel") );
-              ("seed", Log.I (strategy_for i).Sat.seed);
-              ("luby", Log.B (strategy_for i).Sat.restart_luby);
+                Trace.Str (if round_robin then "round-robin" else "parallel") );
+              ("seed", Trace.I (strategy_for i).Sat.seed);
+              ("luby", Trace.B (strategy_for i).Sat.restart_luby);
             ];
           w
         in
@@ -224,10 +224,10 @@ let solve ?(assumptions = []) ?(deterministic = false) ~k s =
                 Budget.with_current budgets.(i) (fun () ->
                     Sat.solve ~assumptions w)
               with e ->
-                Log.warn "portfolio.worker.error"
+                Trace.warn "portfolio.worker.error"
                   [
-                    ("worker", Log.I i);
-                    ("exn", Log.Str (Printexc.to_string e));
+                    ("worker", Trace.I i);
+                    ("exn", Trace.Str (Printexc.to_string e));
                   ];
                 Sat.Unknown
             in
@@ -301,21 +301,21 @@ let solve ?(assumptions = []) ?(deterministic = false) ~k s =
             let st = Sat.stats clones.(i) in
             let fields =
               [
-                ("worker", Log.I i);
-                ("conflicts", Log.I st.Sat.conflicts);
-                ("exported", Log.I exported.(i));
-                ("imported", Log.I imported.(i));
+                ("worker", Trace.I i);
+                ("conflicts", Trace.I st.Sat.conflicts);
+                ("exported", Trace.I exported.(i));
+                ("imported", Trace.I imported.(i));
               ]
             in
             if i = w then
-              Log.info "portfolio.worker.won"
+              Trace.info "portfolio.worker.won"
                 (( "result",
-                   Log.Str (match r with Sat.Sat -> "sat" | _ -> "unsat") )
+                   Trace.Str (match r with Sat.Sat -> "sat" | _ -> "unsat") )
                 :: fields)
-            else if w >= 0 then Log.info "portfolio.worker.cancelled" fields
+            else if w >= 0 then Trace.info "portfolio.worker.cancelled" fields
             else
-              Log.info "portfolio.worker.exhausted"
-                (("reason", Log.Str (reason_str (Sat.last_interrupt clones.(i))))
+              Trace.info "portfolio.worker.exhausted"
+                (("reason", Trace.Str (reason_str (Sat.last_interrupt clones.(i))))
                 :: fields))
           results;
         if w >= 0 then results.(w)

@@ -22,8 +22,8 @@
     exported, imported, banked, cancelled, wins),
     [portfolio.worker.start]/[won]/[cancelled]/[exhausted] flight-recorder
     events with per-worker import/export totals, and — in parallel mode —
-    per-worker sampler series for free, since each worker domain feeds
-    its own {!Sqed_obs.Sampler} ring. *)
+    per-worker sample series for free, since each worker domain records
+    into its own {!Sqed_obs.Trace} ring. *)
 
 val solve :
   ?assumptions:Sat.lit list ->

@@ -24,8 +24,7 @@
 
 module Metrics = Sqed_obs.Metrics
 module Trace = Sqed_obs.Trace
-module Log = Sqed_obs.Log
-module Sampler = Sqed_obs.Sampler
+module Progress = Sqed_obs.Progress
 module Budget = Sqed_resil.Budget
 module Fault = Sqed_resil.Fault
 
@@ -325,7 +324,8 @@ let stats s =
 let check_budget () =
   (* Doubles as a flight-recorder touch point: a sampling opportunity
      plus a progress heartbeat, each one boolean load when off. *)
-  Sampler.poll_quick ();
+  Trace.poll_quick ();
+  Progress.beat ();
   Budget.check (Budget.current ())
 
 let last_interrupt s = s.last_interrupt
@@ -1456,9 +1456,10 @@ let solve_body ?(assumptions = []) s =
                      (* The sampler reads live totals here because the
                         registry only sees them as deltas at solve
                         exit. *)
-                     Sampler.poll_sat ~conflicts:s.n_conflicts
+                     Trace.poll_sat ~conflicts:s.n_conflicts
                        ~propagations:s.n_propagations
                        ~learnts:s.learnts.Ivec.sz;
+                     Progress.beat ();
                      poll ()
                    end;
                    if decision_level s = 0 then begin
@@ -1556,20 +1557,20 @@ let solve ?assumptions s =
   (* Solve-lifecycle record: solves are frequent (once per BMC bound per
      candidate), so this is Debug-level and captured only while a Debug
      sink is attached. *)
-  if not (Log.logs Log.Debug) then
+  if not (Trace.logs Trace.Debug) then
     solve_traced ?assumptions s
   else begin
     let c0 = s.n_conflicts and t0 = Unix.gettimeofday () in
     let r = solve_traced ?assumptions s in
-    Log.debug "sat.solve"
+    Trace.debug "sat.solve"
       [
         ( "result",
-          Log.Str
+          Trace.Str
             (match r with Sat -> "sat" | Unsat -> "unsat" | Unknown -> "unknown")
         );
-        ("vars", Log.I s.nvars);
-        ("conflicts", Log.I (s.n_conflicts - c0));
-        ("us", Log.F ((Unix.gettimeofday () -. t0) *. 1e6));
+        ("vars", Trace.I s.nvars);
+        ("conflicts", Trace.I (s.n_conflicts - c0));
+        ("us", Trace.F ((Unix.gettimeofday () -. t0) *. 1e6));
       ];
     r
   end

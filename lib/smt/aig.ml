@@ -296,7 +296,7 @@ let freeze t e = Sat.freeze t.sat (Sat.var_of (lit t e))
 let check_budget t =
   (* Feed the live node count to the sampler before the budget poll so
      a mid-conversion sample sees the instance as it grows. *)
-  Sqed_obs.Sampler.note_aig_nodes t.n;
+  Sqed_obs.Trace.note_aig_nodes t.n;
   Sat.check_budget ()
 
 (* Polarity masks: bit 0 = positive (lit -> cone), bit 1 = negative. *)

@@ -249,8 +249,8 @@ let complete t =
   (match t.pending with
   | [] -> ()
   | pending ->
-      Sqed_obs.Log.info "smt.blast.replay"
-        [ ("pending", Sqed_obs.Log.I (List.length pending)) ]);
+      Sqed_obs.Trace.info "smt.blast.replay"
+        [ ("pending", Sqed_obs.Trace.I (List.length pending)) ]);
   Aig.drain t.g;
   let rec go () =
     match t.pending with

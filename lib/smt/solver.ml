@@ -3,7 +3,6 @@ module Sat = Sqed_sat.Sat
 module Portfolio = Sqed_sat.Portfolio
 module Metrics = Sqed_obs.Metrics
 module Trace = Sqed_obs.Trace
-module Log = Sqed_obs.Log
 module Budget = Sqed_resil.Budget
 
 let sp_check = Trace.kind ~cat:"smt" "smt.check"
@@ -109,16 +108,16 @@ let check ?(assumptions = []) ?max_conflicts ?deadline s =
       in
       if !Metrics.enabled then
         Metrics.observe_us h_check_us ((Unix.gettimeofday () -. t0) *. 1e6);
-      if Log.logs Log.Debug then
-        Log.debug "smt.check"
+      if Trace.logs Trace.Debug then
+        Trace.debug "smt.check"
           [
             ( "result",
-              Log.Str
+              Trace.Str
                 (match r with
                 | Sat -> "sat"
                 | Unsat -> "unsat"
                 | Unknown -> "unknown") );
-            ("assumptions", Log.I (List.length assumptions));
+            ("assumptions", Trace.I (List.length assumptions));
           ];
       r)
 

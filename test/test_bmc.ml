@@ -326,6 +326,26 @@ let test_gave_up_on_tiny_budget () =
   Alcotest.(check bool) "gave up" true
     (match r.V.outcome with Engine.Gave_up _ -> true | _ -> false)
 
+let test_gave_up_depth_is_exact () =
+  (* [Gave_up k] means every depth below k is clean and depth k is not
+     settled, so a budget that ends after the last depth still leaves
+     the full-bound verdict. *)
+  let run ~cancel_after =
+    V.run ~method_:V.Sepe_sqed ~bound:5 ~time_budget:600.0
+      ~progress:(fun k _ ->
+        if k = cancel_after then
+          Sqed_resil.Budget.cancel (Sqed_resil.Budget.current ()))
+      cfg
+  in
+  let r = run ~cancel_after:2 in
+  Alcotest.(check bool) "cancelled after depth 2 of 5: gave up at 3" true
+    (r.V.outcome = Engine.Gave_up 3);
+  Alcotest.(check bool) "reason is the cancel" true
+    (r.V.stats.Engine.gave_up = Some Sqed_resil.Budget.Cancelled);
+  let r = run ~cancel_after:5 in
+  Alcotest.(check bool) "cancelled after the last depth: clean" true
+    (r.V.outcome = Engine.No_counterexample)
+
 let test_synthesized_table_verifies () =
   (* Fig. 1 end to end: table from HPF-CEGIS, then detection with it. *)
   let options =
@@ -379,6 +399,8 @@ let suite =
     Alcotest.test_case "k-induction no-bug" `Slow test_kinduction_no_bug;
     Alcotest.test_case "k-induction base cex" `Slow test_kinduction_base_cex;
     Alcotest.test_case "budget exhaustion" `Quick test_gave_up_on_tiny_budget;
+    Alcotest.test_case "gave-up depth is the first unsettled one" `Quick
+      test_gave_up_depth_is_exact;
     Alcotest.test_case "shared-evaluator trace extraction" `Slow
       test_extract_trace_shared_eval;
     Alcotest.test_case "synthesized table verifies" `Slow

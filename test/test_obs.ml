@@ -7,16 +7,12 @@
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
 module Trace = Sqed_obs.Trace
-module Log = Sqed_obs.Log
 module Progress = Sqed_obs.Progress
-module Sampler = Sqed_obs.Sampler
 module Report = Sqed_obs.Report
 
 let reset_all () =
   Metrics.reset ();
   Trace.reset ();
-  Log.reset ();
-  Sampler.reset ();
   Report.reset ()
 
 let isolated f () =
@@ -26,9 +22,9 @@ let isolated f () =
       Metrics.enabled := false;
       Trace.enabled := false;
       Progress.enabled := false;
-      Sampler.enabled := false;
-      Sampler.set_interval_us 50_000;
-      Log.close_sink ();
+      Trace.sampling := false;
+      Trace.set_interval_us 50_000;
+      Trace.close_sink ();
       reset_all ())
     f
 
@@ -268,107 +264,112 @@ let test_export_roundtrip () =
 (* Flight recorder: log, sampler, progress, report                   *)
 (* ---------------------------------------------------------------- *)
 
+let point_fields e =
+  match e.Trace.body with
+  | Trace.Point { fields; _ } -> fields
+  | _ -> Alcotest.fail "expected a point"
+
 let test_log_ring_wrap () =
-  let cap = Log.ring_capacity in
+  let cap = Trace.ring_capacity in
   let extra = 50 in
   for i = 0 to cap + extra - 1 do
-    Log.info "test.wrap" [ ("i", Log.I i) ]
+    Trace.info "test.wrap" [ ("i", Trace.I i) ]
   done;
-  let evs = Log.tail (cap + extra) in
+  let evs = Trace.tail (cap + extra) in
   Alcotest.(check int) "ring keeps exactly its capacity" cap
     (List.length evs);
-  Alcotest.(check int) "overwrites are counted" extra (Log.dropped ());
+  Alcotest.(check int) "overwrites are counted" extra (Trace.log_dropped ());
   (* The survivors are the newest [cap] records: the first retained
      event is the one that displaced record 0. *)
   (match evs with
   | first :: _ -> (
-      match List.assoc_opt "i" first.Log.lg_fields with
-      | Some (Log.I i) -> Alcotest.(check int) "oldest survivor" extra i
+      match List.assoc_opt "i" (point_fields first) with
+      | Some (Trace.I i) -> Alcotest.(check int) "oldest survivor" extra i
       | _ -> Alcotest.fail "field i missing")
   | [] -> Alcotest.fail "empty tail");
   Alcotest.(check int) "tail n truncates to the newest n" 7
-    (List.length (Log.tail 7))
+    (List.length (Trace.tail 7))
 
 let test_log_multidomain_merge () =
   let per_domain = 100 in
   let emit () =
     for i = 1 to per_domain do
-      Log.info "test.interleave" [ ("i", Log.I i) ]
+      Trace.info "test.interleave" [ ("i", Trace.I i) ]
     done
   in
   let domains = Array.init 3 (fun _ -> Domain.spawn emit) in
   emit ();
   Array.iter Domain.join domains;
-  let evs = Log.tail (8 * per_domain) in
+  let evs = Trace.tail (8 * per_domain) in
   Alcotest.(check int) "all records captured across domains"
     (4 * per_domain) (List.length evs);
-  let doms = List.sort_uniq compare (List.map (fun e -> e.Log.lg_dom) evs) in
+  let doms = List.sort_uniq compare (List.map (fun e -> e.Trace.dom) evs) in
   Alcotest.(check bool) "records from several domains" true
     (List.length doms >= 2);
   let rec sorted = function
     | a :: (b :: _ as rest) ->
-        a.Log.lg_ts <= b.Log.lg_ts && sorted rest
+        a.Trace.ts <= b.Trace.ts && sorted rest
     | _ -> true
   in
   Alcotest.(check bool) "merged tail is in timestamp order" true (sorted evs)
 
 let test_log_level_filter () =
-  Log.debug "test.quiet" [];
-  Log.info "test.loud" [];
-  Log.warn "test.louder" [];
+  Trace.debug "test.quiet" [];
+  Trace.info "test.loud" [];
+  Trace.warn "test.louder" [];
   Alcotest.(check int) "debug is not captured without a debug sink" 2
-    (List.length (Log.tail 10));
+    (List.length (Trace.tail 10));
   Alcotest.(check int) "min_level filters the tail" 1
-    (List.length (Log.tail ~min_level:Log.Warn 10))
+    (List.length (Trace.tail ~min_level:Trace.Warn 10))
 
 let test_sampler_series_monotone () =
-  Sampler.enabled := true;
-  Sampler.set_interval_us 0;
+  Trace.sampling := true;
+  Trace.set_interval_us 0;
   for i = 1 to 20 do
-    Sampler.poll_sat ~conflicts:(i * 100) ~propagations:(i * 1000)
+    Trace.poll_sat ~conflicts:(i * 100) ~propagations:(i * 1000)
       ~learnts:i
   done;
-  match Sampler.series () with
+  match Trace.series () with
   | [ (_, samples) ] ->
       Alcotest.(check int) "one sample per poll at interval 0" 20
         (List.length samples);
       let rec monotone = function
         | a :: (b :: _ as rest) ->
-            a.Sampler.sm_ts <= b.Sampler.sm_ts && monotone rest
+            fst a <= fst b && monotone rest
         | _ -> true
       in
       Alcotest.(check bool) "timestamps nondecreasing" true
         (monotone samples);
       List.iter
-        (fun s ->
+        (fun (_, s) ->
           Alcotest.(check bool) "rates are nonnegative" true
-            (s.Sampler.sm_conflicts_s >= 0.0 && s.Sampler.sm_props_s >= 0.0);
+            (s.Trace.sm_conflicts_s >= 0.0 && s.Trace.sm_props_s >= 0.0);
           Alcotest.(check bool) "heap words sampled" true
-            (s.Sampler.sm_heap_words > 0))
+            (s.Trace.sm_heap_words > 0))
         samples;
-      let last = List.nth samples 19 in
+      let _, last = List.nth samples 19 in
       Alcotest.(check int) "learnt DB size tracks the live value" 20
-        last.Sampler.sm_learnts
+        last.Trace.sm_learnts
   | series ->
       Alcotest.fail
         (Printf.sprintf "expected 1 domain series, got %d"
            (List.length series))
 
 let test_sampler_disabled_is_silent () =
-  Sampler.poll_sat ~conflicts:1000 ~propagations:10000 ~learnts:5;
-  Sampler.poll_quick ();
+  Trace.poll_sat ~conflicts:1000 ~propagations:10000 ~learnts:5;
+  Trace.poll_quick ();
   Alcotest.(check int) "no series recorded while disabled" 0
-    (List.length (Sampler.series ()))
+    (List.length (Trace.series ()))
 
 let test_sampler_first_poll_samples () =
   (* The empty-series blind spot: at the default 50ms interval a short
      run used to record nothing because poll_quick's 1/64 tick mask ate
      the few polls it made.  The mask is bypassed until the domain's
      first sample, so even a single quick poll leaves a series. *)
-  Sampler.enabled := true;
-  Sampler.set_interval_us 50_000;
-  Sampler.poll_quick ();
-  match Sampler.series () with
+  Trace.sampling := true;
+  Trace.set_interval_us 50_000;
+  Trace.poll_quick ();
+  match Trace.series () with
   | [ (_, [ _ ]) ] -> ()
   | series ->
       Alcotest.fail
@@ -398,10 +399,10 @@ let test_progress_disabled_transparent () =
 
 let test_report_roundtrip () =
   Metrics.enabled := true;
-  Sampler.enabled := true;
-  Sampler.set_interval_us 0;
-  Log.info "test.report" [ ("phase", Log.Str "unit") ];
-  Sampler.poll_sat ~conflicts:512 ~propagations:4096 ~learnts:3;
+  Trace.sampling := true;
+  Trace.set_interval_us 0;
+  Trace.info "test.report" [ ("phase", Trace.Str "unit") ];
+  Trace.poll_sat ~conflicts:512 ~propagations:4096 ~learnts:3;
   Report.note_case
     { Report.rc_key = "unit/ok"; rc_status = Report.Ok;
       rc_detail = "synthesized"; rc_dur = 1.25 };
@@ -524,9 +525,28 @@ let test_trace_drops_counted_live () =
     (Metrics.find_counter "obs.trace.dropped");
   Alcotest.(check int) "Trace.dropped agrees" k (Trace.dropped ())
 
+let test_drops_counted_per_kind () =
+  (* One ring holds every kind: a full ring of spans evicts the older
+     log record first, and each eviction is counted under its own kind. *)
+  Trace.enabled := true;
+  Trace.info "test.evicted" [];
+  let k = 3 in
+  for _ = 1 to Trace.ring_capacity + k do
+    Trace.with_span k_inner (fun () -> ())
+  done;
+  Alcotest.(check int) "obs.log.dropped counts the point" 1
+    (Metrics.find_counter "obs.log.dropped");
+  Alcotest.(check int) "obs.trace.dropped counts the k spans" k
+    (Metrics.find_counter "obs.trace.dropped");
+  Alcotest.(check int) "Trace.log_dropped agrees" 1 (Trace.log_dropped ());
+  Alcotest.(check int) "Trace.dropped agrees" k (Trace.dropped ());
+  Alcotest.(check int) "the point is gone" 0 (List.length (Trace.tail 10));
+  Alcotest.(check int) "the ring is full of spans" Trace.ring_capacity
+    (Trace.held ())
+
 let test_ring_wrap_keeps_newest () =
   let drops = ref 0 in
-  let r = Ring.create ~on_drop:(fun () -> incr drops) 5 in
+  let r = Ring.create ~on_drop:(fun _ -> incr drops) 5 in
   Alcotest.(check (list int)) "empty ring reads nothing" [] (Ring.to_list r);
   for i = 0 to 12 do
     Ring.push r i
@@ -574,31 +594,27 @@ let test_ring_clear () =
   Alcotest.(check (list int)) "usable after clear" [ 42 ] (Ring.to_list r)
 
 let test_shared_clock () =
-  (* After any one recorder's reset, a span, a log record and a sample
-     emitted in that order are stamped in that order. *)
+  (* After a reset, a span, a log record and a sample emitted in that
+     order are stamped in that order. *)
   Trace.enabled := true;
-  Sampler.enabled := true;
-  Sampler.set_interval_us 0;
+  Trace.sampling := true;
+  Trace.set_interval_us 0;
   List.iter
     (fun (name, single_reset) ->
       reset_all ();
       Unix.sleepf 0.002;
       single_reset ();
       Trace.with_span k_outer (fun () -> ());
-      Log.info "test.clock" [];
-      Sampler.poll_sat ~conflicts:1 ~propagations:1 ~learnts:1;
-      match (Trace.events (), Log.tail 10, Sampler.series ()) with
-      | [ ev ], [ lg ], [ (_, [ sm ]) ] ->
+      Trace.info "test.clock" [];
+      Trace.poll_sat ~conflicts:1 ~propagations:1 ~learnts:1;
+      match (Trace.events (), Trace.tail 10, Trace.series ()) with
+      | [ ev ], [ lg ], [ (_, [ (sm_ts, _) ]) ] ->
           Alcotest.(check bool) (name ^ ": span before log record") true
-            (ev.Trace.ev_ts <= lg.Log.lg_ts);
+            (ev.Trace.ev_ts <= lg.Trace.ts);
           Alcotest.(check bool) (name ^ ": log record before sample") true
-            (lg.Log.lg_ts <= sm.Sampler.sm_ts)
+            (lg.Trace.ts <= sm_ts)
       | _ -> Alcotest.fail (name ^ ": expected one event of each kind"))
-    [
-      ("Trace.reset", Trace.reset);
-      ("Log.reset", Log.reset);
-      ("Sampler.reset", Sampler.reset);
-    ]
+    [ ("Trace.reset", Trace.reset) ]
 
 let suite =
   [
@@ -648,6 +664,8 @@ let suite =
       (isolated test_report_run_payload_and_history);
     Alcotest.test_case "trace drops are counted as they happen" `Quick
       (isolated test_trace_drops_counted_live);
+    Alcotest.test_case "spans evict an older point, drops counted per kind"
+      `Quick (isolated test_drops_counted_per_kind);
     Alcotest.test_case "ring keeps the newest entries" `Quick
       (isolated test_ring_wrap_keeps_newest);
     Alcotest.test_case "ring clips a stale cursor" `Quick

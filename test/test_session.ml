@@ -6,7 +6,7 @@
 module Json = Sqed_obs.Json
 module History = Sqed_obs.History
 module Metrics = Sqed_obs.Metrics
-module Sampler = Sqed_obs.Sampler
+module Trace = Sqed_obs.Trace
 module Solver = Sqed_smt.Solver
 module Verdict = Sqed_resil.Verdict
 module Session = Sqed_exp.Session
@@ -34,13 +34,13 @@ let test_exit_code () =
 (* Session.run switches recorders and the solver config on; put them
    back so later tests see the state they expect. *)
 let with_session_state f =
-  let metrics = !Metrics.enabled and sampler = !Sampler.enabled in
+  let metrics = !Metrics.enabled and sampler = !Trace.sampling in
   let solver = Solver.config () in
   let path = Filename.temp_file "sepe_session" ".jsonl" in
   Fun.protect
     ~finally:(fun () ->
       Metrics.enabled := metrics;
-      Sampler.enabled := sampler;
+      Trace.sampling := sampler;
       Solver.set_config solver;
       if Sys.file_exists path then Sys.remove path)
     (fun () -> f path)
