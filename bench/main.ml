@@ -163,28 +163,13 @@ let fig3 () =
 (* E2 / Table 1: injected single-instruction bugs                      *)
 (* ------------------------------------------------------------------ *)
 
-let bug_config bug base =
-  if Bug.needs_m bug then { base with Config.ext_m = true } else base
-
 let sepe_min_depth cfg bug =
   match V.min_cex_depth ~method_:V.Sepe_sqed ~bug cfg with
   | Some d -> d
   | None -> 1
 
 let table1_focus bug =
-  Option.bind (Bug.table1_row bug) (fun row ->
-      match
-        List.find_opt (fun op -> Sqed_isa.Insn.rop_name op = row)
-          Sqed_isa.Insn.all_rops
-      with
-      | Some op -> Some (Sqed_qed.Equiv_table.Kr op)
-      | None -> (
-          match
-            List.find_opt (fun op -> Sqed_isa.Insn.iop_name op = row)
-              Sqed_isa.Insn.all_iops
-          with
-          | Some op -> Some (Sqed_qed.Equiv_table.Ki op)
-          | None -> if row = "SW" then Some Sqed_qed.Equiv_table.Ksw else None))
+  Option.bind (Bug.table1_row bug) Sqed_qed.Equiv_table.key_of_name
 
 (* A per-bug campaign whose task renders one table row: supervised
    fan-out with checkpoint/resume, like fig3.  A journaled row is
@@ -229,7 +214,7 @@ let table1 () =
      cell then its SQED control sequentially (the SQED budget depends on
      the SEPE trace).  Rows print in table order once all bugs finish. *)
   let run_bug bug =
-      let cfg = bug_config bug base in
+      let cfg = Bug.config_for bug base in
       let min_depth = sepe_min_depth cfg bug in
       (* Short equivalent sequences: incremental sweep from just below the
          class minimum (finds the shortest trace; the intermediate UNSAT
@@ -329,7 +314,7 @@ let fig4 () =
           None )
   in
   let run_bug bug =
-    let cfg = bug_config bug base in
+    let cfg = Bug.config_for bug base in
     let sqed = V.run ~bug ~method_:V.Sqed ~bound ~time_budget:budget cfg in
     let sepe = V.run ~bug ~method_:V.Sepe_sqed ~bound ~time_budget:budget cfg in
     let c1, m1 = cell sqed and c2, m2 = cell sepe in
@@ -375,16 +360,10 @@ let classical () =
   List.iter
     (fun case ->
       let spec = Synth.Library_.spec case in
-      let outcome, stats, elapsed =
-        Synth.Brahma.synthesize ~options ~spec ~library:Synth.Library_.default
-      in
-      Printf.printf "%-6s: %s after %.1fs (%d CEGIS iterations)\n%!" case
-        (match outcome with
-        | Synth.Brahma.Synthesized p ->
-            "synthesized " ^ Synth.Program.to_string p
-        | Synth.Brahma.Budget_exhausted -> "budget exhausted"
-        | Synth.Brahma.No_program -> "no program")
-        elapsed stats.Synth.Cegis.cegis_iterations)
+      Printf.printf "%s\n%!"
+        (Synth.Engine.report case
+           (Synth.Brahma.synthesize ~options ~spec
+              ~library:Synth.Library_.default)))
     [ "SUB"; "XOR" ]
 
 (* ------------------------------------------------------------------ *)
@@ -394,8 +373,8 @@ let classical () =
 let ablation () =
   section
     "ablation - HPF-CEGIS mechanisms (DESIGN.md design choices)\n\
-     alpha=0 drops the same-name penalty; the no-learning variant is the \
-     shuffled iterative baseline restricted to size-3 multisets";
+     alpha=0 drops the same-name penalty; the no-learning variant takes \
+     HPF's size-3 pool in its shuffled order";
   let cases = [ "ADD"; "SUB"; "XOR"; "SLT" ] in
   let budget = if !fast then 60.0 else 180.0 in
   let options =
@@ -422,11 +401,13 @@ let ablation () =
            ~library:Synth.Library_.default ())
           .Synth.Engine.elapsed
       in
-      (* No-learning baseline: iterative CEGIS over the same fixed-size
-         multiset pool (priorities never change <=> random order). *)
+      (* No-learning baseline: the shared loop over HPF's own fixed-size
+         pool in its seed-shuffled order (priorities never change <=>
+         pool order). *)
       let tn =
-        (Synth.Iterative.synthesize ~options ~spec
-           ~library:Synth.Library_.default)
+        let pool = Synth.Hpf.pool ~options Synth.Library_.default in
+        (Synth.Engine.search ~options ~spec ~total:(Array.length pool)
+           (Array.to_seq pool))
           .Synth.Engine.elapsed
       in
       Printf.printf "%-8s %14.2f %14.2f %14.2f\n%!" case t1 t0 tn)

@@ -177,36 +177,15 @@ let synth_cmd =
       }
     in
     let library = Synth.Library_.default in
-    match engine with
-    | `Classical ->
-        let outcome, stats, elapsed =
-          Synth.Brahma.synthesize ~options ~spec ~library
-        in
-        Printf.printf "classical CEGIS on %s: %s (%.1fs, %d solver calls)\n"
-          case
-          (match outcome with
-          | Synth.Brahma.Synthesized p -> "synthesized " ^ Synth.Program.to_string p
-          | Synth.Brahma.Budget_exhausted -> "budget exhausted"
-          | Synth.Brahma.No_program -> "no program")
-          elapsed stats.Synth.Cegis.solver_calls
-    | (`Hpf | `Iterative) as engine ->
-        let name, r =
-          match engine with
-          | `Hpf -> ("hpf", Synth.Hpf.synthesize ~options ~spec ~library ())
-          | `Iterative ->
-              ("iterative", Synth.Iterative.synthesize ~options ~spec ~library)
-        in
-        Printf.printf
-          "%s on %s: %d programs in %.2fs (%d/%d multisets, %d solver calls)\n"
-          name case
-          (List.length r.Synth.Engine.programs)
-          r.Synth.Engine.elapsed
-          r.Synth.Engine.stats.Synth.Cegis.multisets_tried
-          r.Synth.Engine.multisets_total
-          r.Synth.Engine.stats.Synth.Cegis.solver_calls;
-        List.iter
-          (fun p -> Printf.printf "  %s\n" (Synth.Program.to_string p))
-          r.Synth.Engine.programs
+    let name, r =
+      match engine with
+      | `Hpf -> ("hpf", Synth.Hpf.synthesize ~options ~spec ~library ())
+      | `Iterative ->
+          ("iterative", Synth.Iterative.synthesize ~options ~spec ~library)
+      | `Classical ->
+          ("classical", Synth.Brahma.synthesize ~options ~spec ~library)
+    in
+    print_endline (Synth.Engine.report (name ^ " on " ^ case) r)
   in
   Cmd.v
     (info "synth" ~doc:"Synthesize semantically equivalent programs.")
@@ -295,11 +274,13 @@ let verify_cmd =
     session "verify" obs @@ fun () ->
     let cfg =
       match bug with
-      | Some b when Bug.needs_m b && not cfg.Config.ext_m ->
-          Printf.printf "note: %s needs the multiplier; using small-m\n"
-            (Bug.name b);
-          Config.small_m
-      | _ -> cfg
+      | Some b ->
+          let cfg' = Bug.config_for b cfg in
+          if cfg' <> cfg then
+            Printf.printf "note: %s needs the multiplier; turning m on\n"
+              (Bug.name b);
+          cfg'
+      | None -> cfg
     in
     let progress k el =
       if not quiet then Printf.printf "  depth %d clear (%.1fs)\n%!" k el
@@ -382,12 +363,9 @@ let sweep_cmd =
        gives up is Unknown, one that crashes Failed: either prints one
        line and exits nonzero instead of killing the sweep. *)
     let check bug =
-      let cfg =
-        if Bug.needs_m bug && not cfg.Config.ext_m then
-          { cfg with Config.ext_m = true }
-        else cfg
+      let r =
+        V.run ~bug ~method_ ~bound ~time_budget:budget (Bug.config_for bug cfg)
       in
-      let r = V.run ~bug ~method_ ~bound ~time_budget:budget cfg in
       match r.V.outcome with
       | Sqed_bmc.Engine.Gave_up _ -> Verdict.Unknown (V.outcome_to_string r)
       | _ -> Verdict.Ok r

@@ -96,9 +96,8 @@ let extract_trace model u solver depth =
     initial_state;
   }
 
-let check ?max_conflicts ?time_budget ?(start_bound = 1)
-    ?(portfolio_from = default_portfolio_from) ?(progress = fun _ _ -> ())
-    ~bound model =
+let check ?time_budget ?(start_bound = 1) ?(progress = fun _ _ -> ()) ~bound
+    model =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) time_budget in
   (* The time budget bounds the whole bounded run, unrolling and
@@ -137,9 +136,9 @@ let check ?max_conflicts ?time_budget ?(start_bound = 1)
        incr bounds;
        Metrics.incr m_bounds;
        (* Deep bounds opt into portfolio solving (a no-op at width 1). *)
-       Solver.set_portfolio_active solver (k >= portfolio_from);
+       Solver.set_portfolio_active solver (k >= default_portfolio_from);
        let t0 = if !Metrics.enabled then Unix.gettimeofday () else 0.0 in
-       let r = Solver.check ~assumptions:[ bad ] ?max_conflicts solver in
+       let r = Solver.check ~assumptions:[ bad ] solver in
        if !Metrics.enabled then
          Metrics.observe_us h_depth_us ((Unix.gettimeofday () -. t0) *. 1e6);
        (match r with
@@ -199,7 +198,7 @@ type proof_outcome =
   | Not_inductive of int
   | Proof_gave_up of int
 
-let prove ?max_conflicts ?time_budget ~max_k model =
+let prove ?time_budget ~max_k model =
   let started = Unix.gettimeofday () in
   let deadline = Option.map (fun b -> started +. b) time_budget in
   Budget.within ?deadline @@ fun () ->
@@ -232,7 +231,7 @@ let prove ?max_conflicts ?time_budget ~max_k model =
        Metrics.incr m_bounds;
        (match
           Span.with_span ~args:[ ("k", string_of_int k) ] sp_base (fun () ->
-              Solver.check ~assumptions:[ bad_base ] ?max_conflicts base_solver)
+              Solver.check ~assumptions:[ bad_base ] base_solver)
         with
        | Solver.Sat ->
            result := Base_cex (extract_trace model base base_solver k);
@@ -255,7 +254,7 @@ let prove ?max_conflicts ?time_budget ~max_k model =
        Metrics.incr m_bounds;
        (match
           Span.with_span ~args:[ ("k", string_of_int k) ] sp_step (fun () ->
-              Solver.check ~assumptions:[ bad_step ] ?max_conflicts step_solver)
+              Solver.check ~assumptions:[ bad_step ] step_solver)
         with
        | Solver.Unsat ->
            result := Proved k;

@@ -33,27 +33,26 @@ val default_portfolio_from : int
     solving (when the solver was created with width above 1). *)
 
 val check :
-  ?max_conflicts:int ->
   ?time_budget:float ->
   ?start_bound:int ->
-  ?portfolio_from:int ->
   ?progress:(int -> float -> unit) ->
   bound:int ->
   Sqed_qed.Qed_top.t ->
   outcome * stats
 (** [time_budget] (seconds) bounds the whole run, unrolling and encoding
     included: it narrows the calling domain's budget with
-    {!Sqed_resil.Budget.within}.  [max_conflicts] caps each depth's
-    check.  [progress] is called after each depth with the depth and
-    the elapsed seconds.  The budget is polled before each depth, so a
-    budget that ends after the last depth leaves [No_counterexample].  [start_bound] skips the (expensive,
+    {!Sqed_resil.Budget.within}; a conflict cap for the run is set the
+    same way, by the caller.  [progress] is called after each depth with
+    the depth and the elapsed seconds.  The budget is polled before each
+    depth, so a budget that ends after the last depth leaves
+    [No_counterexample].  [start_bound] skips the (expensive,
     necessarily clean) property checks below the given depth when the
     shortest possible counterexample length is known; constraints are
-    still asserted for every step.  [portfolio_from] (default
-    {!default_portfolio_from}) gates portfolio solving on for depths at
-    or past it — shallow queries are cheap enough that clone/spawn
-    overhead would dominate — and has no effect unless the run sets a
-    portfolio width above 1 ({!Sqed_smt.Solver.config}). *)
+    still asserted for every step.  Depths at or past
+    {!default_portfolio_from} gate portfolio solving on — shallow
+    queries are cheap enough that clone/spawn overhead would dominate —
+    which has no effect unless the run sets a portfolio width above 1
+    ({!Sqed_smt.Solver.config}). *)
 
 val extract_trace :
   Sqed_qed.Qed_top.t -> Sqed_rtl.Unroll.t -> Sqed_smt.Solver.t -> int -> Trace.t
@@ -83,7 +82,6 @@ type proof_outcome =
           checking it *)
 
 val prove :
-  ?max_conflicts:int ->
   ?time_budget:float ->
   max_k:int ->
   Sqed_qed.Qed_top.t ->

@@ -14,20 +14,9 @@ let builtin_table cfg =
   Qed.Equiv_table.builtin ~xlen:cfg.Config.xlen ~n_temp:p.Qed.Partition.n_temp
 
 let key_of_case case =
-  match
-    List.find_opt
-      (fun op -> Sqed_isa.Insn.rop_name op = case)
-      Sqed_isa.Insn.all_rops
-  with
-  | Some op -> Qed.Equiv_table.Kr op
-  | None -> (
-      match
-        List.find_opt
-          (fun op -> Sqed_isa.Insn.iop_name op = case)
-          Sqed_isa.Insn.all_iops
-      with
-      | Some op -> Qed.Equiv_table.Ki op
-      | None -> invalid_arg ("Flow.key_of_case: " ^ case))
+  match Qed.Equiv_table.key_of_name case with
+  | Some key -> key
+  | None -> invalid_arg ("Flow.key_of_case: " ^ case)
 
 (* A usable table entry writes its E destination once, fits the partition's
    temporaries, and is not a same-name single line. *)

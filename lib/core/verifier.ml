@@ -35,37 +35,20 @@ let min_cex_depth ~method_ ?bug cfg =
                 Sqed_qed.Equiv_table.builtin ~xlen:cfg.Config.xlen
                   ~n_temp:p.Sqed_qed.Partition.n_temp
           in
-          let key =
-            match
-              List.find_opt
-                (fun op -> Sqed_isa.Insn.rop_name op = row)
-                Sqed_isa.Insn.all_rops
-            with
-            | Some op -> Some (Sqed_qed.Equiv_table.Kr op)
-            | None -> (
-                match
-                  List.find_opt
-                    (fun op -> Sqed_isa.Insn.iop_name op = row)
-                    Sqed_isa.Insn.all_iops
-                with
-                | Some op -> Some (Sqed_qed.Equiv_table.Ki op)
-                | None ->
-                    if row = "SW" then Some Sqed_qed.Equiv_table.Ksw else None)
-          in
+          let key = Sqed_qed.Equiv_table.key_of_name row in
           Option.map
             (fun key -> Sqed_qed.Equiv_table.seq_len table key + 6)
             key)
 
-let run ?bug ?table ?check_mem ?focus ?core ?max_conflicts ?time_budget
-    ?start_bound ?progress ~method_ ~bound cfg =
+let run ?bug ?table ?check_mem ?focus ?core ?time_budget ?start_bound
+    ?progress ~method_ ~bound cfg =
   let model =
     match method_ with
     | Sqed -> Qed_top.eddi ?bug ?check_mem ?focus ?core cfg
     | Sepe_sqed -> Qed_top.edsep ?bug ?check_mem ?focus ?core ?table cfg
   in
   let outcome, stats =
-    Engine.check ?max_conflicts ?time_budget ?start_bound ?progress ~bound
-      model
+    Engine.check ?time_budget ?start_bound ?progress ~bound model
   in
   { method_; bug; bound; outcome; stats }
 

@@ -30,7 +30,6 @@ val run :
   ?check_mem:bool ->
   ?focus:Sqed_qed.Equiv_table.key ->
   ?core:Sqed_qed.Qed_top.core ->
-  ?max_conflicts:int ->
   ?time_budget:float ->
   ?start_bound:int ->
   ?progress:(int -> float -> unit) ->

@@ -112,3 +112,7 @@ let of_name n = List.find_opt (fun b -> name b = n) all
 let is_single b = List.mem b all_single
 
 let needs_m = function Bug_mulh -> true | _ -> false
+
+let config_for bug cfg =
+  if needs_m bug && not cfg.Config.ext_m then { cfg with Config.ext_m = true }
+  else cfg

@@ -60,3 +60,9 @@ val is_single : t -> bool
 
 val needs_m : t -> bool
 (** True when the bug sits in the multiplier datapath (needs [ext_m]). *)
+
+val config_for : t -> Config.t -> Config.t
+(** The core a bug is checked on: [cfg] itself, with the multiplier
+    turned on when the bug needs it ({!needs_m}) and [cfg] lacks it.
+    Width, registers and memory never change, so [tiny] + MULH is
+    [tiny_m]. *)

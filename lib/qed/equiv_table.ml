@@ -503,18 +503,18 @@ exception Table_error of string
 
 let key_of_name name =
   match List.find_opt (fun op -> Insn.rop_name op = name) Insn.all_rops with
-  | Some op -> Kr op
+  | Some op -> Some (Kr op)
   | None -> (
       match
         List.find_opt (fun op -> Insn.iop_name op = name) Insn.all_iops
       with
-      | Some op -> Ki op
+      | Some op -> Some (Ki op)
       | None -> (
           match name with
-          | "LUI" -> Klui
-          | "LW" -> Klw
-          | "SW" -> Ksw
-          | _ -> raise (Table_error ("unknown instruction class " ^ name))))
+          | "LUI" -> Some Klui
+          | "LW" -> Some Klw
+          | "SW" -> Some Ksw
+          | _ -> None))
 
 let treg_of_string s =
   match strip s with
@@ -593,7 +593,14 @@ let of_string text =
                match String.index_opt line '-' with
                | Some i
                  when i + 1 < String.length line && line.[i + 1] = '>' ->
-                   let key = key_of_name (strip (String.sub line 0 i)) in
+                   let name = strip (String.sub line 0 i) in
+                   let key =
+                     match key_of_name name with
+                     | Some key -> key
+                     | None ->
+                         raise
+                           (Table_error ("unknown instruction class " ^ name))
+                   in
                    let body =
                      strip
                        (String.sub line (i + 2) (String.length line - i - 2))

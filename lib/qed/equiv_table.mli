@@ -41,6 +41,11 @@ type t = (key * tinsn list) list
 
 val key_of_insn : Insn.t -> key
 val key_name : key -> string
+
+val key_of_name : string -> key option
+(** The class a {!key_name} (an instruction mnemonic such as ["ADD"],
+    ["XORI"] or ["SW"]) names, or [None]. *)
+
 val all_keys : ext_m:bool -> ext_div:bool -> key list
 
 val builtin : xlen:int -> n_temp:int -> t

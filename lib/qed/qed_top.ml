@@ -109,20 +109,25 @@ let build ?bug ?(check_mem = true) ?focus ?(core = Five_stage) ~table
         &&& C.mux b dor.Decode.is_store (imm_in_half imm_s_field)
               (imm_in_half imm_i_field))
   in
+  (* Does a decoded instruction belong to a table class?  Used on the
+     original stream (the class focus) and on the queue head (the
+     template lookup). *)
+  let key_match d = function
+    | Equiv_table.Kr op ->
+        d.Decode.is_r
+        &&& C.eq b d.Decode.alu_op
+              (C.consti b ~width:5 (Decode.alu_code_of_rop op))
+    | Equiv_table.Ki op ->
+        d.Decode.is_i
+        &&& C.eq b d.Decode.alu_op
+              (C.consti b ~width:5 (Decode.alu_code_of_iop op))
+    | Equiv_table.Klui -> d.Decode.is_lui
+    | Equiv_table.Klw -> d.Decode.is_load
+    | Equiv_table.Ksw -> d.Decode.is_store
+  in
   let focus_ok =
     (* Optional class focus for witness queries (see the interface). *)
-    match focus with
-    | None -> C.vdd b
-    | Some key -> (
-        let alu v = C.eq b dor.Decode.alu_op (C.consti b ~width:5 v) in
-        match key with
-        | Equiv_table.Kr op ->
-            dor.Decode.is_r &&& alu (Decode.alu_code_of_rop op)
-        | Equiv_table.Ki op ->
-            dor.Decode.is_i &&& alu (Decode.alu_code_of_iop op)
-        | Equiv_table.Klui -> dor.Decode.is_lui
-        | Equiv_table.Klw -> dor.Decode.is_load
-        | Equiv_table.Ksw -> dor.Decode.is_store)
+    match focus with None -> C.vdd b | Some key -> key_match dor key
   in
   let input_ok =
     dor.Decode.legal &&& rd_ok &&& rs1_ok &&& rs2_ok &&& mem_ok &&& focus_ok
@@ -204,24 +209,11 @@ let build ?bug ?(check_mem = true) ?focus ?(core = Five_stage) ~table
             C.consti b ~width:7 op_store;
           ]
   in
-  let key_match = function
-    | Equiv_table.Kr op ->
-        dq.Decode.is_r
-        &&& C.eq b dq.Decode.alu_op
-              (C.consti b ~width:5 (Decode.alu_code_of_rop op))
-    | Equiv_table.Ki op ->
-        dq.Decode.is_i
-        &&& C.eq b dq.Decode.alu_op
-              (C.consti b ~width:5 (Decode.alu_code_of_iop op))
-    | Equiv_table.Klui -> dq.Decode.is_lui
-    | Equiv_table.Klw -> dq.Decode.is_load
-    | Equiv_table.Ksw -> dq.Decode.is_store
-  in
   let exp_len =
     C.onehot_mux b
       (List.map
          (fun (k, seq) ->
-           (key_match k, C.consti b ~width:5 (List.length seq)))
+           (key_match dq k, C.consti b ~width:5 (List.length seq)))
          table)
       ~default:(C.consti b ~width:5 1)
   in
@@ -229,7 +221,7 @@ let build ?bug ?(check_mem = true) ?focus ?(core = Five_stage) ~table
     let cases =
       List.concat_map
         (fun (k, seq) ->
-          let km = key_match k in
+          let km = key_match dq k in
           List.mapi
             (fun i ti ->
               (km &&& C.eq b step (c5 i), encode_tinsn ti))

@@ -66,7 +66,7 @@ let assert_ s t =
      Unknown). *)
   Trace.with_span sp_blast (fun () -> Bitblast.assert_bool s.blaster t)
 
-let check ?(assumptions = []) ?max_conflicts ?deadline s =
+let check ?(assumptions = []) ?max_conflicts s =
   Trace.with_span sp_check (fun () ->
       s.has_model <- false;
       Metrics.incr m_checks;
@@ -74,9 +74,9 @@ let check ?(assumptions = []) ?max_conflicts ?deadline s =
       s.last_unknown <- None;
       let r =
         try
-          (* The per-call limits bound the *whole* check — encoding
+          (* The per-call cap bounds the *whole* check — encoding
              included, which dominates on blast-heavy instances. *)
-          Budget.within ?deadline ?max_conflicts (fun () ->
+          Budget.within ?max_conflicts (fun () ->
               (* Finish encoding work a budget-aborted assert left
                  behind — solving with missing definitional clauses
                  would be unsound. *)

@@ -74,16 +74,16 @@ val assert_ : t -> Term.t -> unit
     {!Sqed_resil.Budget.Exhausted} mid-encoding; the partial work is
     remembered and finished automatically by the next {!check}. *)
 
-val check :
-  ?assumptions:Term.t list -> ?max_conflicts:int -> ?deadline:float -> t -> result
-(** The call runs under the calling domain's budget narrowed by
-    {!Sqed_resil.Budget.within} to [deadline] (an absolute wall-clock
-    instant) and [max_conflicts]; that one budget bounds the whole call
-    — bit-blasting of assumptions and pending asserts as well as the
-    CDCL search (encoding dominates on blast-heavy instances).  Budget
-    exhaustion anywhere in the call yields [Unknown]; the solver stays
-    reusable (incremental state intact, unfinished encoding completed on
-    the next call). *)
+val check : ?assumptions:Term.t list -> ?max_conflicts:int -> t -> result
+(** The call runs under the calling domain's budget
+    ({!Sqed_resil.Budget.current}), narrowed by
+    {!Sqed_resil.Budget.within} to [max_conflicts] when given; that one
+    budget bounds the whole call — bit-blasting of assumptions and
+    pending asserts as well as the CDCL search (encoding dominates on
+    blast-heavy instances).  A caller that wants a deadline for the call
+    wraps it in [Budget.within ~deadline].  Budget exhaustion anywhere in
+    the call yields [Unknown]; the solver stays reusable (incremental
+    state intact, unfinished encoding completed on the next call). *)
 
 val model_var : t -> Term.t -> Bv.t
 (** Value of a variable term in the last model.  Variables the solver never

@@ -1,26 +1,6 @@
-type outcome =
-  | Synthesized of Program.t
-  | Budget_exhausted
-  | No_program
-
-(* The classical algorithm is the symbolic-location engine applied to the
-   whole library at once, each component available as one line, with dead
+(* The classical algorithm is the shared loop over one multiset, the
+   whole library, each component available as one line, with dead
    components permitted. *)
 let synthesize ~options ~spec ~library =
-  let started = Engine.now () in
-  let stats = Cegis.mk_stats () in
-  let deadline =
-    Option.map (fun b -> started +. b) options.Engine.time_budget
-  in
-  let programs, loc_outcome =
-    Locsynth.synthesize ~config:options.Engine.config ~spec
-      ~components:library ~require_all_used:false ~max_programs:1 ?deadline
-      ~stats ()
-  in
-  let outcome =
-    match (programs, loc_outcome) with
-    | p :: _, _ -> Synthesized p
-    | [], Locsynth.Budget_exhausted -> Budget_exhausted
-    | [], Locsynth.Complete -> No_program
-  in
-  (outcome, stats, Engine.now () -. started)
+  Engine.search ~all_used:false ~max_programs:1 ~options ~spec ~total:1
+    (Seq.return library)

@@ -7,14 +7,12 @@
     instruction even after several weeks"); it is implemented faithfully as
     the failing baseline and is exercised under an explicit budget. *)
 
-type outcome =
-  | Synthesized of Program.t
-  | Budget_exhausted
-  | No_program
-
 val synthesize :
   options:Engine.options ->
   spec:Component.spec ->
   library:Component.t list ->
-  outcome * Cegis.stats * float
-(** Returns the outcome, query statistics, and elapsed seconds. *)
+  Engine.result
+(** {!Engine.search} over the single multiset [library], stopping at the
+    first program: [programs] holds at most one, and an empty list with
+    [budget_exhausted = false] means the library cannot express the
+    specification. *)

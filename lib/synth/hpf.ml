@@ -1,113 +1,67 @@
+let weight weights comp =
+  Option.value (Hashtbl.find_opt weights comp.Component.label) ~default:(1, 1)
+
 let priority ~alpha ~weights ~g_name multiset =
   let cs, es =
     List.fold_left
       (fun (cs, es) comp ->
-        let c, e =
-          match Hashtbl.find_opt weights comp.Component.label with
-          | Some w -> w
-          | None -> (1, 1)
-        in
+        let c, e = weight weights comp in
         let chi = if comp.Component.name = g_name then 1 else 0 in
         (cs + c - (alpha * chi), es + e))
       (0, 0) multiset
   in
   Float.of_int cs /. Float.of_int es
 
-let bump_choice weights multiset =
+(* Lines 13 and 16: a productive multiset raises its components' choice
+   weights, an unproductive one their exclusion weights. *)
+let bump weights ~productive multiset =
   List.iter
     (fun comp ->
-      let label = comp.Component.label in
-      let c, e =
-        match Hashtbl.find_opt weights label with Some w -> w | None -> (1, 1)
-      in
-      Hashtbl.replace weights label (c + 1, e))
+      let c, e = weight weights comp in
+      Hashtbl.replace weights comp.Component.label
+        (if productive then (c + 1, e) else (c, e + 1)))
     multiset
 
-let bump_exclusion weights multiset =
-  List.iter
-    (fun comp ->
-      let label = comp.Component.label in
-      let c, e =
-        match Hashtbl.find_opt weights label with Some w -> w | None -> (1, 1)
-      in
-      Hashtbl.replace weights label (c, e + 1))
-    multiset
+(* Algorithm 1 line 5: combinations with replacement at the fixed size
+   n (small multisets cannot contribute >=3-component programs anyway),
+   in seed-shuffled order. *)
+let pool ~options library =
+  Array.of_list
+    (Multiset.shuffle ~seed:options.Engine.seed
+       (Multiset.combinations_with_replacement library options.Engine.n_max))
 
 let g_library_size = Sqed_obs.Metrics.gauge "synth.library_size"
 
 let synthesize ?(alpha = 1) ~options ~spec ~library () =
-  let started = Engine.now () in
-  let stats = Cegis.mk_stats () in
   Sqed_obs.Metrics.set g_library_size (List.length library);
-  (* Line 2: initialize the weight dictionary. *)
-  let weights : (string, int * int) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun c -> Hashtbl.replace weights c.Component.label (1, 1))
-    library;
-  (* Algorithm 1 line 5: combinations with replacement at the fixed size
-     n (small multisets cannot contribute >=3-component programs anyway);
-     ties between equal priorities are broken randomly, mirroring the
-     shuffle applied to the iterative baseline. *)
-  let pool =
-    Array.of_list
-      (Multiset.shuffle ~seed:options.Engine.seed
-         (Multiset.combinations_with_replacement library options.Engine.n_max))
-  in
+  (* Line 2: every weight starts at (1, 1), which is what [weight] reads
+     for a component not in the table yet. *)
+  let weights = Hashtbl.create 64 in
+  let pool = pool ~options library in
   let alive = Array.make (Array.length pool) true in
-  let remaining = ref (Array.length pool) in
   let g_name = spec.Component.g_name in
-  let programs = ref [] in
-  let countable_found = ref 0 in
-  let exhausted = ref false in
-  (* Line 8: iterate, always taking the highest-priority pending multiset. *)
-  let continue = ref true in
-  while !continue && !remaining > 0 do
-    if !countable_found >= options.Engine.k then continue := false
-    else if Engine.over_budget options ~started then begin
-      exhausted := true;
-      continue := false
-    end
+  (* Line 8: always take the highest-priority pending multiset; ties go
+     to the earlier entry of the shuffled pool, mirroring the shuffle
+     applied to the iterative baseline. *)
+  let rec pick () =
+    let best = ref (-1) in
+    let best_p = ref neg_infinity in
+    Array.iteri
+      (fun i ms ->
+        if alive.(i) then begin
+          let p = priority ~alpha ~weights ~g_name ms in
+          if p > !best_p then begin
+            best_p := p;
+            best := i
+          end
+        end)
+      pool;
+    if !best < 0 then Seq.Nil
     else begin
-      let best = ref (-1) in
-      let best_p = ref neg_infinity in
-      Array.iteri
-        (fun i ms ->
-          if alive.(i) then begin
-            let p = priority ~alpha ~weights ~g_name ms in
-            if p > !best_p then begin
-              best_p := p;
-              best := i
-            end
-          end)
-        pool;
-      let i = !best in
-      alive.(i) <- false;
-      decr remaining;
-      let ms = pool.(i) in
-      let deadline =
-        Option.map (fun b -> started +. b) options.Engine.time_budget
-      in
-      let found, _ =
-        Locsynth.synthesize ~config:options.Engine.config ~spec
-          ~components:ms ~require_all_used:true
-          ~max_programs:options.Engine.config.Cegis.max_programs_per_multiset
-          ?deadline ~stats ()
-      in
-      if found = [] then bump_exclusion weights ms (* line 13 *)
-      else begin
-        bump_choice weights ms (* line 16 *);
-        List.iter
-          (fun p ->
-            programs := p :: !programs;
-            if Engine.countable options p then incr countable_found)
-          found
-      end
+      alive.(!best) <- false;
+      Seq.Cons (pool.(!best), pick)
     end
-  done;
-  {
-    Engine.programs = List.rev !programs;
-    stats;
-    multisets_total = Array.length pool;
-    elapsed = Engine.now () -. started;
-    budget_exhausted = !exhausted;
-  }
+  in
+  Engine.search ~options ~spec ~total:(Array.length pool)
+    ~learn:(fun ms found -> bump weights ~productive:(found <> []) ms)
+    pick

@@ -10,8 +10,9 @@
     where χ_j = 1 when component j has the same name as the original
     instruction g (penalizing datapath overlap).  On a successful
     synthesis, the multiset's components have their choice weights
-    increased; on failure, their exclusion weights.  Iteration stops once
-    [k] countable programs exist. *)
+    increased; on failure, their exclusion weights.  The multiset loop
+    itself, with its early stop at [k] countable programs, is
+    {!Engine.search}. *)
 
 val priority :
   alpha:int ->
@@ -21,9 +22,12 @@ val priority :
   float
 (** Exposed for tests and ablation benches. *)
 
-(** The multiset pool is [combinations_with_replacement library n_max]
-    (the paper's line 5 uses a fixed multiset size); priority ties are
-    broken by a seed-shuffled pool order. *)
+val pool : options:Engine.options -> Component.t list -> Component.t list array
+(** The multiset pool, [combinations_with_replacement library n_max] (the
+    paper's line 5 uses a fixed multiset size) in seed-shuffled order.
+    Priority ties go to the earlier entry, so taken in this order the
+    pool is HPF without learning (the ablation's no-learning arm). *)
+
 val synthesize :
   ?alpha:int ->
   options:Engine.options ->

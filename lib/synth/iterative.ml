@@ -1,41 +1,7 @@
 let synthesize ~options ~spec ~library =
-  let started = Engine.now () in
-  let stats = Cegis.mk_stats () in
   let multisets =
     Multiset.up_to library options.Engine.n_max
     |> Multiset.shuffle ~seed:options.Engine.seed
   in
-  let total = List.length multisets in
-  let programs = ref [] in
-  let countable_found = ref 0 in
-  let exhausted = ref false in
-  let rec go = function
-    | [] -> ()
-    | _ when !countable_found >= options.Engine.k -> ()
-    | _ when Engine.over_budget options ~started ->
-        exhausted := true
-    | ms :: rest ->
-        let deadline =
-          Option.map (fun b -> started +. b) options.Engine.time_budget
-        in
-        let found, _ =
-          Locsynth.synthesize ~config:options.Engine.config ~spec
-            ~components:ms ~require_all_used:true
-            ~max_programs:options.Engine.config.Cegis.max_programs_per_multiset
-            ?deadline ~stats ()
-        in
-        List.iter
-          (fun p ->
-            programs := p :: !programs;
-            if Engine.countable options p then incr countable_found)
-          found;
-        go rest
-  in
-  go multisets;
-  {
-    Engine.programs = List.rev !programs;
-    stats;
-    multisets_total = total;
-    elapsed = Engine.now () -. started;
-    budget_exhausted = !exhausted;
-  }
+  Engine.search ~options ~spec ~total:(List.length multisets)
+    (List.to_seq multisets)

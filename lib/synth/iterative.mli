@@ -1,7 +1,7 @@
 (** Iterative CEGIS (Buchwald et al., Section 2.2): enumerate multisets of
-    increasing size by combinations with replacement, shuffle them (with the
-    engine seed) and run component-based CEGIS on each in turn until [k]
-    countable programs are found. *)
+    increasing size by combinations with replacement ({!Multiset.up_to}),
+    shuffle them (with the engine seed) and run {!Engine.search} over them
+    in that order until [k] countable programs are found. *)
 
 val synthesize :
   options:Engine.options ->

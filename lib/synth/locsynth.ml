@@ -1,6 +1,7 @@
 module Bv = Sqed_bv.Bv
 module Term = Sqed_smt.Term
 module Solver = Sqed_smt.Solver
+module Budget = Sqed_resil.Budget
 module Metrics = Sqed_obs.Metrics
 module Trace = Sqed_obs.Trace
 
@@ -26,7 +27,7 @@ let loc_width n_locs =
   max 1 (go 1)
 
 let synthesize ~config:cfg ~spec ~components ~require_all_used ~max_programs
-    ?deadline ~stats () =
+    ~stats () =
   (* Strengthened input constraint: components named like the specification
      cannot appear in an equivalent program (identity wirings through
      pass-through lines would let the program execute the original
@@ -71,16 +72,13 @@ let synthesize ~config:cfg ~spec ~components ~require_all_used ~max_programs
   in
   (* The program output is the line at the last location. *)
   let out_loc = n_locs - 1 in
-  let over_deadline () =
-    match deadline with
-    | Some d -> Unix.gettimeofday () > d
-    | None -> false
-  in
+  let budget = Budget.current () in
   (* One session: the full encoding over [examples], then the
      guess-verify loop.  A [probe] session stops after its first check and
      reports [Complete] only when that check was UNSAT; a model or an
-     Unknown decides nothing and reads as [Budget_exhausted]. *)
-  let session ~probe examples =
+     Unknown decides nothing and reads as [Budget_exhausted].  Verified
+     programs go to [found]. *)
+  let run_session ~probe ~found examples =
     let solver = Solver.create () in
     let assert_ t = Solver.assert_ solver t in
     let l_out = Array.init n (fun _ -> Term.var (fresh "lo") lw) in
@@ -235,7 +233,6 @@ let synthesize ~config:cfg ~spec ~components ~require_all_used ~max_programs
       assert_ (Term.not_ (Term.conj !eqs))
     in
     List.iter add_example examples;
-    let found = ref [] in
     (* One guess-verify round, bracketed by its own span.  The recursion
        lives in [loop] *outside* the span so nesting depth stays flat — a
        span per iteration, not a span tower. *)
@@ -245,7 +242,7 @@ let synthesize ~config:cfg ~spec ~components ~require_all_used ~max_programs
       Metrics.incr m_iters;
       Metrics.incr m_solver_calls;
       match
-        Solver.check ?max_conflicts:cfg.Cegis.max_conflicts ?deadline solver
+        Solver.check ?max_conflicts:cfg.Cegis.max_conflicts solver
       with
       | Solver.Unsat -> `Done Complete
       | Solver.Unknown -> `Done Budget_exhausted
@@ -266,7 +263,7 @@ let synthesize ~config:cfg ~spec ~components ~require_all_used ~max_programs
           let rhs = spec.Component.g_sem ~xlen input_vars in
           Solver.assert_ s2 (Term.distinct lhs rhs);
           match
-            Solver.check ?max_conflicts:cfg.Cegis.max_conflicts ?deadline s2
+            Solver.check ?max_conflicts:cfg.Cegis.max_conflicts s2
           with
           | Solver.Unsat ->
               found := program :: !found;
@@ -283,14 +280,21 @@ let synthesize ~config:cfg ~spec ~components ~require_all_used ~max_programs
     let rec loop examples_added =
       if List.length !found >= max_programs then Complete
       else if examples_added > 8 * cfg.Cegis.max_cegis_iters then Budget_exhausted
-      else if over_deadline () then Budget_exhausted
+      else if Budget.over budget <> None then Budget_exhausted
       else
         match Trace.with_span sp_iter (fun () -> step examples_added) with
         | `Done outcome -> outcome
         | `Continue examples_added -> loop examples_added
     in
-    let outcome = loop 0 in
-    (List.rev !found, outcome)
+    loop 0
+  in
+  (* A budget that runs out inside an encoding [assert_] ends the session
+     like an Unknown check, keeping the programs verified so far. *)
+  let session ~probe examples =
+    let found = ref [] in
+    match run_session ~probe ~found examples with
+    | outcome -> (List.rev !found, outcome)
+    | exception Budget.Exhausted _ -> (List.rev !found, Budget_exhausted)
   in
   (* Refutation probe: most multisets cannot meet the specification even
      on the two random seed examples, and a session over those two costs

@@ -16,13 +16,18 @@ val synthesize :
   components:Component.t list ->
   require_all_used:bool ->
   max_programs:int ->
-  ?deadline:float ->
   stats:Cegis.stats ->
   unit ->
   Program.t list * outcome
 (** Verified programs, wiring-distinct (each solution's location
-    assignment is blocked before searching for the next).  [deadline] is
-    an absolute [Unix.gettimeofday] instant.
+    assignment is blocked before searching for the next).
+
+    The call runs under the calling domain's budget
+    ({!Sqed_resil.Budget.current}), polled before each guess–verify
+    round; [config.max_conflicts] caps each check.  A budget that runs
+    out, in a check or in the middle of encoding, ends the call with
+    the programs verified so far and [Budget_exhausted]; it never
+    raises.
 
     Refutation probe: before the full session (all of
     {!Cegis.initial_examples}), the same encoding is built over only the
@@ -31,8 +36,8 @@ val synthesize :
     [([], Complete)]; the counter [synth.probe_refuted] counts these.
     The probe asserts a subset of the full session's constraints, so the
     full session's first check would have been UNSAT too, or would have
-    run out of conflicts or time first ([Budget_exhausted] then, with no
-    programs either way).  Otherwise the
+    run out of budget first ([Budget_exhausted] then, with no programs
+    either way).  Otherwise the
     probe is dropped and the full session runs exactly as without it: the
     programs, their order and the outcome do not depend on the probe.
     The probe's check counts as one solver call and one CEGIS iteration

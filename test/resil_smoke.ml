@@ -14,6 +14,7 @@
    the first checkpoint append fails (ADD/hpf stays unjournaled), and
    the second pool task (ADD/iter) crashes. *)
 
+module Budget = Sqed_resil.Budget
 module Fault = Sqed_resil.Fault
 module Verdict = Sqed_resil.Verdict
 module Metrics = Sqed_obs.Metrics
@@ -65,9 +66,10 @@ let () =
   done;
   let t0 = Unix.gettimeofday () in
   let r =
-    Solver.check
-      ~assumptions:[ Term.distinct !heavy (Term.of_int ~width:64 1) ]
-      ~deadline:(t0 +. 0.05) s
+    Budget.within ~deadline:(t0 +. 0.05) (fun () ->
+        Solver.check
+          ~assumptions:[ Term.distinct !heavy (Term.of_int ~width:64 1) ]
+          s)
   in
   let elapsed = Unix.gettimeofday () -. t0 in
   check "mid-blast deadline answers Unknown" (r = Solver.Unknown);

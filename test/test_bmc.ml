@@ -321,7 +321,8 @@ let test_extract_trace_shared_eval () =
 
 let test_gave_up_on_tiny_budget () =
   let r =
-    V.run ~bug:Bug.Bug_add ~method_:V.Sqed ~bound:12 ~max_conflicts:100 cfg
+    Sqed_resil.Budget.within ~max_conflicts:100 (fun () ->
+        V.run ~bug:Bug.Bug_add ~method_:V.Sqed ~bound:12 cfg)
   in
   Alcotest.(check bool) "gave up" true
     (match r.V.outcome with Engine.Gave_up _ -> true | _ -> false)

@@ -262,8 +262,30 @@ let pipeline_matches_iss ?variant ?(label = "") config =
       let gold = Testbench.golden config program in
       Exec.equal piped gold)
 
+(* One rule for the core a bug runs on: turn the multiplier on when the
+   bug needs it, change nothing else. *)
+let test_bug_config_for () =
+  let check name want got =
+    Alcotest.(check string) name (Config.to_string want) (Config.to_string got)
+  in
+  check "tiny + MULH is tiny-m" Config.tiny_m
+    (Bug.config_for Bug.Bug_mulh Config.tiny);
+  check "small + MULH is small-m" Config.small_m
+    (Bug.config_for Bug.Bug_mulh Config.small);
+  check "rv32 + MULH unchanged" Config.rv32
+    (Bug.config_for Bug.Bug_mulh Config.rv32);
+  List.iter
+    (fun bug ->
+      if not (Bug.needs_m bug) then
+        List.iter
+          (fun c ->
+            check (Bug.name bug ^ " unchanged") c (Bug.config_for bug c))
+          [ Config.tiny; Config.small; Config.rv32 ])
+    Bug.all
+
 let suite =
   [
+    Alcotest.test_case "bug config rule" `Quick test_bug_config_for;
     Alcotest.test_case "straightline" `Quick test_straightline;
     Alcotest.test_case "forward mem" `Quick test_forward_mem;
     Alcotest.test_case "forward wb" `Quick test_forward_wb;

@@ -130,7 +130,7 @@ let test_within_outer_deadline_wins () =
   let now = Unix.gettimeofday () in
   let r =
     Budget.with_current (Budget.create ~deadline:(now -. 1.0) ()) (fun () ->
-        Solver.check ~deadline:(now +. 60.0) s)
+        Budget.within ~deadline:(now +. 60.0) (fun () -> Solver.check s))
   in
   Alcotest.(check bool) "unknown" true (r = Solver.Unknown);
   Alcotest.(check bool) "reason deadline" true
@@ -424,7 +424,8 @@ let test_smt_interrupted_agrees () =
           (Printf.sprintf "simplify=%b round %d: past deadline is Unknown"
              simplify round)
           true
-          (Solver.check ~deadline:(Unix.gettimeofday () -. 1.0) s_int
+          (Budget.within ~deadline:(Unix.gettimeofday () -. 1.0) (fun () ->
+               Solver.check s_int)
           = Solver.Unknown);
         Solver.assert_ s_int phi2;
         Solver.assert_ s_ref phi2;
@@ -459,7 +460,10 @@ let test_deadline_below_bitblast () =
   let assumption = Term.distinct !heavy (Term.of_int ~width:64 1) in
   let budget_s = 0.05 in
   let t0 = Unix.gettimeofday () in
-  let r = Solver.check ~assumptions:[ assumption ] ~deadline:(t0 +. budget_s) s in
+  let r =
+    Budget.within ~deadline:(t0 +. budget_s) (fun () ->
+        Solver.check ~assumptions:[ assumption ] s)
+  in
   let elapsed = Unix.gettimeofday () -. t0 in
   Alcotest.(check bool) "mid-blast deadline answers Unknown" true (r = Solver.Unknown);
   (* The issue's acceptance bound is 2x the deadline; allow generous CI

@@ -298,13 +298,13 @@ let test_brahma_small_library () =
       config = cfg;
     }
   in
-  let outcome, _, _ = Synth.Brahma.synthesize ~options ~spec ~library in
-  match outcome with
-  | Synth.Brahma.Synthesized p ->
+  let r = Synth.Brahma.synthesize ~options ~spec ~library in
+  match r.Synth.Engine.programs with
+  | p :: _ ->
       Alcotest.(check bool) "verifies" true
         (Synth.Cegis.verify_equivalence cfg ~spec p stats)
-  | Synth.Brahma.Budget_exhausted -> Alcotest.fail "budget exhausted"
-  | Synth.Brahma.No_program -> Alcotest.fail "no program"
+  | [] when r.Synth.Engine.budget_exhausted -> Alcotest.fail "budget exhausted"
+  | [] -> Alcotest.fail "no program"
 
 (* to_insns round trip: compile a synthesized program and execute it. *)
 let program_to_insns_roundtrip =
@@ -422,6 +422,47 @@ let test_probe_refutes () =
   Alcotest.(check int) "one iteration" 1 st.Synth.Cegis.cegis_iterations;
   Alcotest.(check int) "one multiset" 1 st.Synth.Cegis.multisets_tried
 
+(* Synthesis reads its limits from the calling domain's budget: a
+   cancelled one, or a zero time budget, ends every engine with
+   [budget_exhausted] and nothing raised. *)
+let test_engines_stop_on_budget () =
+  let module Budget = Sqed_resil.Budget in
+  let spec = Synth.Library_.spec "SUB" in
+  let library = Synth.Library_.default in
+  let options time_budget =
+    { Synth.Engine.default_options with Synth.Engine.k = 2; time_budget; config = cfg }
+  in
+  let cancelled () =
+    let b = Budget.create ~deadline:(Unix.gettimeofday () +. 3600.0) () in
+    Budget.cancel b;
+    b
+  in
+  List.iter
+    (fun (name, run) ->
+      let r = Budget.with_current (cancelled ()) (fun () -> run (options None)) in
+      Alcotest.(check bool) (name ^ ": cancelled budget") true
+        r.Synth.Engine.budget_exhausted;
+      let r = run (options (Some 0.0)) in
+      Alcotest.(check bool) (name ^ ": zero time budget") true
+        r.Synth.Engine.budget_exhausted)
+    [
+      ("hpf", fun options -> Synth.Hpf.synthesize ~options ~spec ~library ());
+      ("iterative", fun options -> Synth.Iterative.synthesize ~options ~spec ~library);
+      ("classical", fun options -> Synth.Brahma.synthesize ~options ~spec ~library);
+    ];
+  (* Inside one multiset the budget dies in the first encoding
+     [assert_]: the session ends, it does not raise. *)
+  let found, outcome =
+    Budget.with_current (cancelled ()) (fun () ->
+        Synth.Locsynth.synthesize ~config:cfg ~spec:(Synth.Library_.spec "ADD")
+          ~components:[ Synth.Library_.find "NEG"; Synth.Library_.find "SUB" ]
+          ~require_all_used:true ~max_programs:1 ~stats:(Synth.Cegis.mk_stats ())
+          ())
+  in
+  Alcotest.(check int) "locsynth: no program" 0 (List.length found);
+  Alcotest.(check bool) "locsynth: budget exhausted" true
+    (outcome = Synth.Locsynth.Budget_exhausted)
+
 let suite =
   [
     Alcotest.test_case "library composition" `Quick test_library_composition;
@@ -442,6 +483,8 @@ let suite =
       test_probe_keeps_programs;
     Alcotest.test_case "probe refutes add from and/or" `Quick
       test_probe_refutes;
+    Alcotest.test_case "engines stop on the calling domain's budget" `Quick
+      test_engines_stop_on_budget;
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
       (component_props
