@@ -25,6 +25,18 @@ let read_file path =
   close_in ic;
   s
 
+(* The end-of-run heap reading both payloads carry: live words after a
+   full collection, never above the heap's top. *)
+let check_heap what j =
+  let field name =
+    Option.bind (Json.member "heap" j) (fun h ->
+        Option.bind (Json.member name h) Json.to_int_opt)
+  in
+  check (what ^ " records the live heap after a full collection")
+    (match (field "live_words", field "top_heap_words") with
+    | Some live, Some top -> live > 0 && live <= top
+    | _ -> false)
+
 (* --report mode, used by the @report-smoke alias: validate the flight
    recorder's artifacts — the run.json sidecar, the JSONL event log and
    (optionally) the standalone metrics snapshot — all through the same
@@ -75,6 +87,7 @@ let check_report run_json log_jsonl metrics_json =
             | _ -> false)
         | _ -> false);
       check "per-case verdict rows present" (nonempty_list "cases");
+      check_heap "run.json" j;
       check "log tail embedded" (nonempty_list "log_tail"));
   (* Every line of the JSONL sink must re-parse and carry the record
      envelope. *)
@@ -263,6 +276,7 @@ let () =
   | Ok j ->
       check "summary records simplify=true"
         (Json.member "simplify" j = Some (Json.Bool true));
+      check_heap "summary" j;
       let counter name =
         Option.bind (Json.member "metrics" j) (fun m ->
             Option.bind (Json.member "counters" m) (fun c ->

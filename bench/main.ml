@@ -102,6 +102,7 @@ let bench_payload () =
     @ [
         ("experiments", Json.List experiments);
         ("metrics", Metrics.to_json ());
+        ("heap", Sqed_obs.Report.heap_json ());
       ])
 
 let write_json path payload =

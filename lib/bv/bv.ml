@@ -182,7 +182,7 @@ let compare a b =
     in
     go (Array.length a.limbs - 1)
 
-let hash v = Hashtbl.hash (v.width, v.limbs)
+let hash v = Hashtbl.hash v
 
 let popcount v =
   let count64 x =

@@ -30,10 +30,31 @@ let cases () =
   Mutex.unlock cases_mu;
   r
 
+(* The end-of-run heap reading, taken once: the sidecar, the ledger
+   payload and the bench payload all read the same collection. *)
+let heap_reading = ref None
+
+let heap_json () =
+  match !heap_reading with
+  | Some j -> j
+  | None ->
+      Gc.full_major ();
+      let s = Gc.stat () in
+      let j =
+        Json.Obj
+          [
+            ("live_words", Json.Int s.Gc.live_words);
+            ("top_heap_words", Json.Int s.Gc.top_heap_words);
+          ]
+      in
+      heap_reading := Some j;
+      j
+
 let reset () =
   Mutex.lock cases_mu;
   noted := [];
   Mutex.unlock cases_mu;
+  heap_reading := None;
   started := Unix.gettimeofday ()
 
 (* -- formatting helpers -------------------------------------------------- *)
@@ -149,6 +170,7 @@ let run_json ~title ~cmdline ~now =
       ("samples", Trace.samples_json ());
       ("trace_dropped", Json.Int (Trace.dropped ()));
       ("log_dropped", Json.Int (Trace.log_dropped ()));
+      ("heap", heap_json ());
       ("cases", Json.List (List.map case_json (cases ())));
       ("log_tail", Json.List (List.map Trace.to_json (Trace.tail 100)));
     ]

@@ -31,6 +31,13 @@ val note_case : case_row -> unit
 val cases : unit -> case_row list
 (** Rows noted so far, in arrival order. *)
 
+val heap_json : unit -> Json.t
+(** The major heap at the end of the run: [live_words] and
+    [top_heap_words] after one [Gc.full_major].  The first call since
+    {!reset} collects and reads; later calls return that reading, so
+    call it only once the run's work is done.  {!write} and
+    {!run_payload} embed it as [heap]. *)
+
 val run_payload : ?title:string -> ?cmdline:string -> unit -> Json.t
 (** The machine-readable run snapshot ([schema sepe.flight/1]): the
     same object {!write} puts in the sidecar, for callers that archive
@@ -46,4 +53,5 @@ val write :
     {!Diff}, regression rows highlighted. *)
 
 val reset : unit -> unit
-(** Drop noted cases and restart the run clock. Test helper. *)
+(** Drop noted cases and the heap reading, and restart the run clock.
+    Test helper. *)

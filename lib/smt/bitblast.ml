@@ -7,6 +7,12 @@ module Fault = Sqed_resil.Fault
    node); the blaster itself only counts memo hits. *)
 let m_cache_hits = Metrics.counter "smt.blast_cache_hits"
 
+(* The memo is keyed by the term itself, so every term the blaster
+   encoded stays alive, with its id, for the solver's lifetime: a term
+   rebuilt inside a live solver always hits the term universe and then
+   this memo, whenever the GC runs. *)
+module Tbl = Hashtbl.Make (Term)
+
 (* A budget-aborted [assert_bool] leaves the constraint half-encoded:
    completed sub-terms sit in the cache (sound — their edges carry no
    clauses until encoded) but the top-level unit clause is missing, and
@@ -15,7 +21,7 @@ let m_cache_hits = Metrics.counter "smt.blast_cache_hits"
    can replay them before the next solve. *)
 type t = {
   g : Aig.t;
-  cache : (int, Aig.edge array) Hashtbl.t; (* term id -> edges *)
+  cache : Aig.edge array Tbl.t; (* term -> edges *)
   vars : (string * int, Aig.edge array) Hashtbl.t; (* (name, width) *)
   mutable pending : Term.t list;
 }
@@ -23,7 +29,7 @@ type t = {
 let create sat =
   {
     g = Aig.create sat;
-    cache = Hashtbl.create 1024;
+    cache = Tbl.create 1024;
     vars = Hashtbl.create 64;
     pending = [];
   }
@@ -150,7 +156,7 @@ let divider g x y =
 (* -- main translation ---------------------------------------------------- *)
 
 let rec edges b (t : Term.t) =
-  match Hashtbl.find_opt b.cache t.Term.id with
+  match Tbl.find_opt b.cache t with
   | Some ws ->
       Metrics.incr m_cache_hits;
       ws
@@ -211,7 +217,7 @@ let rec edges b (t : Term.t) =
             Array.append l h
       in
       assert (Array.length ws = t.Term.width);
-      Hashtbl.add b.cache t.Term.id ws;
+      Tbl.add b.cache t ws;
       ws
 
 (* -- CNF interface --------------------------------------------------------- *)

@@ -34,39 +34,47 @@ let hash t = t.id
 
 (* -- hash-consing ------------------------------------------------------ *)
 
-(* The key hashes/compares children by id, so consing is O(1) per node. *)
+(* The key hashes/compares a node's children by id, so consing is O(1)
+   per node; the hash mixes the tag and the fields arithmetically, with
+   no allocation. *)
 module Key = struct
-  type nonrec t = node
+  type nonrec t = t
 
-  let child_ids = function
-    | Var (s, w) -> [ Hashtbl.hash s; w ]
-    | Const b -> [ Bv.hash b ]
-    | Not a -> [ 1; a.id ]
-    | Neg a -> [ 2; a.id ]
-    | And (a, b) -> [ 3; a.id; b.id ]
-    | Or (a, b) -> [ 4; a.id; b.id ]
-    | Xor (a, b) -> [ 5; a.id; b.id ]
-    | Add (a, b) -> [ 6; a.id; b.id ]
-    | Sub (a, b) -> [ 7; a.id; b.id ]
-    | Mul (a, b) -> [ 8; a.id; b.id ]
-    | Udiv (a, b) -> [ 9; a.id; b.id ]
-    | Urem (a, b) -> [ 10; a.id; b.id ]
-    | Shl (a, b) -> [ 11; a.id; b.id ]
-    | Lshr (a, b) -> [ 12; a.id; b.id ]
-    | Ashr (a, b) -> [ 13; a.id; b.id ]
-    | Eq (a, b) -> [ 14; a.id; b.id ]
-    | Ult (a, b) -> [ 15; a.id; b.id ]
-    | Slt (a, b) -> [ 16; a.id; b.id ]
-    | Ite (c, a, b) -> [ 17; c.id; a.id; b.id ]
-    | Extract (hi, lo, a) -> [ 18; hi; lo; a.id ]
-    | Zext (w, a) -> [ 19; w; a.id ]
-    | Sext (w, a) -> [ 20; w; a.id ]
-    | Concat (a, b) -> [ 21; a.id; b.id ]
+  let mix h x =
+    let h = (h lxor x) * 0x100000001b3 in
+    h lxor (h lsr 29)
 
-  let hash n = Hashtbl.hash (child_ids n)
+  let un tag a = mix tag a.id
+  let bin tag a b = mix (mix tag a.id) b.id
 
-  let equal a b =
-    match (a, b) with
+  let hash t =
+    match t.node with
+    | Var (s, w) -> mix (Hashtbl.hash s) w
+    | Const b -> Bv.hash b
+    | Not a -> un 1 a
+    | Neg a -> un 2 a
+    | And (a, b) -> bin 3 a b
+    | Or (a, b) -> bin 4 a b
+    | Xor (a, b) -> bin 5 a b
+    | Add (a, b) -> bin 6 a b
+    | Sub (a, b) -> bin 7 a b
+    | Mul (a, b) -> bin 8 a b
+    | Udiv (a, b) -> bin 9 a b
+    | Urem (a, b) -> bin 10 a b
+    | Shl (a, b) -> bin 11 a b
+    | Lshr (a, b) -> bin 12 a b
+    | Ashr (a, b) -> bin 13 a b
+    | Eq (a, b) -> bin 14 a b
+    | Ult (a, b) -> bin 15 a b
+    | Slt (a, b) -> bin 16 a b
+    | Ite (c, a, b) -> mix (bin 17 c a) b.id
+    | Extract (hi, lo, a) -> mix (mix (un 18 a) hi) lo
+    | Zext (w, a) -> mix (un 19 a) w
+    | Sext (w, a) -> mix (un 20 a) w
+    | Concat (a, b) -> bin 21 a b
+
+  let equal x y =
+    match (x.node, y.node) with
     | Var (s1, w1), Var (s2, w2) -> String.equal s1 s2 && w1 = w2
     | Const b1, Const b2 -> Bv.equal b1 b2
     | Not a1, Not a2 | Neg a1, Neg a2 -> a1 == a2
@@ -94,41 +102,41 @@ module Key = struct
     | _ -> false
 end
 
-module Tbl = Hashtbl.Make (Key)
+module Cons = Weak.Make (Key)
 
-(* Each domain owns an independent term universe (hash-consing table and id
-   allocator) behind [Domain.DLS], so solver campaigns can run on worker
-   domains without locking the hot consing path.  Ids are handed out in
-   disjoint blocks off a global atomic counter: terms built on different
-   domains are never physically equal, but their ids never collide either,
-   so id-keyed caches (bit-blaster, eval, rewrite) stay correct even when a
-   worker's terms flow back to the caller.  Sharing is only guaranteed
-   within one domain; structurally equal terms from two domains compare
-   unequal, which costs sharing, never soundness. *)
+(* Each domain owns an independent term universe (a weak hash-consing
+   set and an id allocator) behind [Domain.DLS], so solver campaigns can
+   run on worker domains without locking the hot consing path.  The set
+   holds its terms weakly: a term nothing references is collected, and
+   building it again yields a fresh term with a fresh id.  Ids are handed
+   out in disjoint blocks off a global atomic counter and never reused,
+   so id-keyed caches (bit-blaster, eval) stay correct across
+   collections and across domains: terms built on different domains are
+   never physically equal, but their ids never collide either.  Sharing
+   is only guaranteed within one domain and among live terms, which
+   costs sharing, never soundness. *)
 
 let id_block_bits = 20
 let next_block = Atomic.make 0
 
-type manager = { table : t Tbl.t; mutable next_id : int; mutable id_limit : int }
+type manager = { set : Cons.t; mutable next_id : int; mutable id_limit : int }
 
 let manager_key =
   Domain.DLS.new_key (fun () ->
-      { table = Tbl.create 4096; next_id = 0; id_limit = 0 })
+      { set = Cons.create 4096; next_id = 0; id_limit = 0 })
 
 let intern width node =
   let m = Domain.DLS.get manager_key in
-  match Tbl.find_opt m.table node with
-  | Some t -> t
-  | None ->
-      if m.next_id >= m.id_limit then begin
-        let b = Atomic.fetch_and_add next_block 1 in
-        m.next_id <- b lsl id_block_bits;
-        m.id_limit <- (b + 1) lsl id_block_bits
-      end;
-      let t = { id = m.next_id; width; node } in
-      m.next_id <- m.next_id + 1;
-      Tbl.add m.table node t;
-      t
+  if m.next_id >= m.id_limit then begin
+    let b = Atomic.fetch_and_add next_block 1 in
+    m.next_id <- b lsl id_block_bits;
+    m.id_limit <- (b + 1) lsl id_block_bits
+  end;
+  (* The candidate takes the next id only if the set keeps it. *)
+  let fresh = { id = m.next_id; width; node } in
+  let t = Cons.merge m.set fresh in
+  if t == fresh then m.next_id <- m.next_id + 1;
+  t
 
 (* -- leaves ------------------------------------------------------------ *)
 

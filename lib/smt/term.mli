@@ -1,14 +1,22 @@
 (** Hash-consed QF_BV terms with constant folding.
 
     Terms are hash-consed per domain: within one domain, structurally equal
-    terms are physically equal and carry the same [id], which the
-    bit-blaster exploits for sharing.  Each domain owns an independent term
-    universe ([Domain.DLS]); ids are drawn from disjoint blocks, so terms
-    from different domains never collide in id-keyed caches, they merely
-    don't share.  A solver instance and all terms it sees should be built
-    on a single domain.  Booleans are bitvectors of width 1.  All
-    constructors check operand widths and raise [Invalid_argument] on
-    mismatch. *)
+    terms that are alive at the same time are physically equal and carry
+    the same [id], which the bit-blaster exploits for sharing.  Each domain
+    owns an independent term universe ([Domain.DLS]).
+
+    Interning is weak: the universe does not keep its terms alive, so a
+    term nothing references is collected, and building it again yields a
+    fresh term with a fresh [id].  Ids are drawn from disjoint per-domain
+    blocks and never reused, so an id-keyed cache never confuses two
+    terms, across collections or across domains (terms from different
+    domains merely don't share).  {!Bitblast} pins every term it encoded
+    for its solver's lifetime, so inside a live solver a rebuilt term is
+    always the encoded one.
+
+    A solver instance and all terms it sees should be built on a single
+    domain.  Booleans are bitvectors of width 1.  All constructors check
+    operand widths and raise [Invalid_argument] on mismatch. *)
 
 module Bv = Sqed_bv.Bv
 

@@ -35,6 +35,43 @@ let test_hashcons () =
   let b = Term.add x (Term.of_int ~width:8 1) in
   Alcotest.(check bool) "physically equal" true (Term.equal a b)
 
+(* Hash-consing is weak: a term nothing holds is collected, and building
+   it again yields a fresh term with a fresh id (ids are never reused).
+   [@inline never] keeps the built terms out of the caller's frame. *)
+let[@inline never] add_one_id name =
+  (Term.add (Term.var name 8) (Term.of_int ~width:8 1)).Term.id
+
+let test_dead_term_collected () =
+  let name = fresh_name "dead" in
+  let id0 = add_one_id name in
+  Gc.full_major ();
+  Alcotest.(check bool) "rebuilt after a collection: fresh id" true
+    (add_one_id name <> id0)
+
+let test_live_terms_shared () =
+  let name = fresh_name "live" in
+  let a = Term.add (Term.var name 8) (Term.of_int ~width:8 1) in
+  Gc.full_major ();
+  let b = Term.add (Term.var name 8) (Term.of_int ~width:8 1) in
+  Alcotest.(check bool) "physically equal" true (a == b);
+  Alcotest.(check int) "same id" a.Term.id b.Term.id
+
+(* A live solver's blaster pins every term it encoded, so rebuilding one
+   inside the solver's lifetime finds it (and its blasted edges). *)
+let[@inline never] assert_eq3_id solver name =
+  let t = Term.eq (Term.var name 8) (Term.of_int ~width:8 3) in
+  Solver.assert_ solver t;
+  t.Term.id
+
+let test_blasted_term_pinned () =
+  let solver = Solver.create () in
+  let name = fresh_name "pin" in
+  let id0 = assert_eq3_id solver name in
+  Gc.full_major ();
+  let t = Term.eq (Term.var name 8) (Term.of_int ~width:8 3) in
+  Alcotest.(check int) "same id" id0 t.Term.id;
+  Alcotest.check result_t "solver still usable" Solver.Sat (Solver.check solver)
+
 let test_folding () =
   let c1 = Term.of_int ~width:8 3 and c2 = Term.of_int ~width:8 4 in
   (match Term.is_const (Term.add c1 c2) with
@@ -369,3 +406,8 @@ let suite =
   ]
   @ List.map (QCheck_alcotest.to_alcotest ~long:false)
       (differential_props @ identity_props)
+  @ [
+      Alcotest.test_case "dead term collected" `Quick test_dead_term_collected;
+      Alcotest.test_case "live terms shared" `Quick test_live_terms_shared;
+      Alcotest.test_case "blasted term pinned" `Quick test_blasted_term_pinned;
+    ]

@@ -306,6 +306,27 @@ let test_brahma_small_library () =
   | [] when r.Synth.Engine.budget_exhausted -> Alcotest.fail "budget exhausted"
   | [] -> Alcotest.fail "no program"
 
+(* Every component of the classical query must take a line, and IMMIN's
+   immediate input has nothing to read under an R-type specification:
+   the engine leaves it out instead of refuting ADD without a search. *)
+let test_brahma_skips_unfed_component () =
+  let spec = Synth.Library_.spec "ADD" in
+  let library = List.map Synth.Library_.find [ "NEG"; "SUB"; "IMMIN" ] in
+  let options =
+    {
+      Synth.Engine.default_options with
+      Synth.Engine.time_budget = Some 60.0;
+      config = cfg;
+    }
+  in
+  let r = Synth.Brahma.synthesize ~options ~spec ~library in
+  match r.Synth.Engine.programs with
+  | p :: _ ->
+      Alcotest.(check bool) "verifies" true
+        (Synth.Cegis.verify_equivalence cfg ~spec p stats)
+  | [] when r.Synth.Engine.budget_exhausted -> Alcotest.fail "budget exhausted"
+  | [] -> Alcotest.fail "no program"
+
 (* to_insns round trip: compile a synthesized program and execute it. *)
 let program_to_insns_roundtrip =
   QCheck.Test.make ~name:"program to_insns executes correctly" ~count:50
@@ -493,3 +514,7 @@ let suite =
           engines_sound;
           program_to_insns_roundtrip;
         ])
+  @ [
+      Alcotest.test_case "brahma skips components the spec cannot feed" `Quick
+        test_brahma_skips_unfed_component;
+    ]
