@@ -309,7 +309,7 @@ let () =
             (Printf.sprintf "counter %s present" name)
             (counter name <> None))
         [
-          "resil.retries"; "resil.task_failures"; "resil.tasks_skipped";
+          "resil.retries"; "resil.task_failures";
           "resil.faults_injected"; "resil.budget.exhausted";
           "resil.checkpoint.records";
         ];

@@ -612,8 +612,7 @@ let solve_cmd =
       | Ok cnf -> (
           let c = Sqed_smt.Solver.config () in
           match
-            Sqed_sat.Dimacs.solve ~portfolio:c.Sqed_smt.Solver.portfolio
-              ~deterministic:c.Sqed_smt.Solver.portfolio_deterministic cnf
+            Sqed_sat.Dimacs.solve ~portfolio:c.Sqed_smt.Solver.portfolio cnf
           with
           | Sqed_sat.Sat.Sat, Some model ->
               print_endline "sat";

@@ -8,5 +8,4 @@ let config ~jobs ~fast =
     ("fast", Json.Bool fast);
     ("simplify", Json.Bool c.Solver.simplify);
     ("portfolio", Json.Int c.Solver.portfolio);
-    ("portfolio_deterministic", Json.Bool c.Solver.portfolio_deterministic);
   ]

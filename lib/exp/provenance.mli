@@ -6,7 +6,7 @@
     so the stamp cannot drift from what actually ran. *)
 
 val config : jobs:int -> fast:bool -> (string * Sqed_obs.Json.t) list
-(** [{jobs, fast, simplify, portfolio, portfolio_deterministic}]: the
-    campaign shape given by the caller plus the solver knobs read back
-    from {!Sqed_smt.Solver.config}[ ()].  Two runs are only compared
-    when these fields match ({!Sqed_obs.History.compatible}). *)
+(** [{jobs, fast, simplify, portfolio}]: the campaign shape given by
+    the caller plus the solver knobs read back from
+    {!Sqed_smt.Solver.config}[ ()].  Two runs are only compared when
+    these fields match ({!Sqed_obs.History.compatible}). *)

@@ -51,11 +51,12 @@ let term =
       value & opt int 1
       & info [ "portfolio" ] ~docv:"K"
           ~doc:
-            "Race $(docv) diversified CDCL workers (different seeds, \
-             polarities, restart schedules, VSIDS decay) on hard SAT \
-             queries, sharing low-LBD learnt clauses; the first definitive \
-             verdict wins and cancels the rest.  Only BMC depths at or past \
-             the engine's threshold pay the clone/spawn cost — shallow \
+            "Run $(docv) diversified CDCL workers (different seeds, \
+             polarities, restart schedules, VSIDS decay) in round-robin \
+             slices on hard SAT queries, sharing low-LBD learnt clauses; \
+             the first definitive verdict wins, and repeat runs give \
+             bit-identical verdicts and solver statistics.  Only BMC depths \
+             at or past the engine's threshold pay the clone cost — shallow \
              queries and CEGIS candidates stay single-engine.  The \
              sat.portfolio.* counters and the portfolio.worker.* event-log \
              records show what each worker did.")
@@ -88,14 +89,8 @@ let term =
   Term.(
     const
       (fun metrics metrics_json trace log log_level progress report ledger
-           baseline no_simplify portfolio portfolio_deterministic () ->
-        let solver =
-          {
-            Solver.simplify = not no_simplify;
-            portfolio;
-            portfolio_deterministic;
-          }
-        in
+           baseline no_simplify portfolio () ->
+        let solver = { Solver.simplify = not no_simplify; portfolio } in
         { metrics; metrics_json; trace; log; log_level; progress; report;
           ledger; baseline; solver })
     $ flag "metrics"
@@ -149,12 +144,6 @@ let term =
            creates.  Mostly for A/B measurements; the sat.simplify.* \
            counters record what the preprocessor did when it is on."
     $ portfolio
-    $ flag "portfolio-deterministic"
-        ~doc:
-          "Run the portfolio as a reproducible single-domain round-robin \
-           instead of a parallel race: repeat runs give bit-identical \
-           verdicts and solver statistics, at the cost of the wall-clock \
-           speedup.  For CI and debugging."
     $ fault)
 
 let exits =

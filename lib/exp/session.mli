@@ -13,9 +13,9 @@ type t
 (** The flags every front-end shares: the recorders ([--metrics],
     [--metrics-json], [--trace], [--log], [--log-level], [--progress]),
     the run artifacts ([--report], [--ledger], [--baseline]), the solver
-    config ([--no-simplify], [--portfolio], [--portfolio-deterministic])
-    and [--fault-inject], whose spec is armed when the term is
-    evaluated, so a malformed one is a usage error. *)
+    config ([--no-simplify], [--portfolio]) and [--fault-inject], whose
+    spec is armed when the term is evaluated, so a malformed one is a
+    usage error. *)
 
 val term : t Cmdliner.Term.t
 (** The shared flags as one cmdliner term. *)

@@ -74,17 +74,37 @@ let run_of e = Json.member "run" e
 let config_of e =
   Option.bind (Json.member "provenance" e) (Json.member "config")
 
-(* Entries written while the bit-blaster still had a direct-Tseitin
-   alternative carry ["aig": true]; every such run used the AIG path
-   that is now the only one, so the key is dropped before comparing. *)
-let without_legacy_aig = function
+(* Provenance keys of retired knobs, each with the test that an old
+   entry's value (given its whole config) names the behaviour that is now
+   the only one.  Such a key is dropped before comparing; any other value
+   keeps it, so the entry matches no current one.
+   - ["aig": true]: the AIG bit-blasting path, once beside a
+     direct-Tseitin one.
+   - ["portfolio_deterministic"]: the round-robin portfolio scheduler,
+     used by every run that set it and by every run at width 1 (no
+     portfolio).  [false] at a width above 1 ran a parallel race. *)
+let retired_keys =
+  [
+    ("aig", fun _ v -> v = Json.Bool true);
+    ( "portfolio_deterministic",
+      fun fields v ->
+        v = Json.Bool true
+        || List.assoc_opt "portfolio" fields = Some (Json.Int 1) );
+  ]
+
+let without_retired = function
   | Json.Obj fields ->
-      Json.Obj (List.filter (fun f -> f <> ("aig", Json.Bool true)) fields)
+      let retired (k, v) =
+        match List.assoc_opt k retired_keys with
+        | Some still_current -> still_current fields v
+        | None -> false
+      in
+      Json.Obj (List.filter (fun f -> not (retired f)) fields)
   | j -> j
 
 let compatible a b =
   match (config_of a, config_of b) with
-  | Some ca, Some cb -> without_legacy_aig ca = without_legacy_aig cb
+  | Some ca, Some cb -> without_retired ca = without_retired cb
   | _ -> false
 
 let summary_line idx e =

@@ -28,8 +28,8 @@ val provenance : config:(string * Json.t) list -> unit -> Json.t
     ["unknown"] outside a work tree), [git_dirty], [hostname], [cores]
     (recommended domain count), [ocaml] (compiler version) and the
     caller-supplied [config] object — by convention the
-    [{jobs, fast, simplify, portfolio, portfolio_deterministic}] knobs
-    that make two runs comparable ([Sqed_exp.Provenance.config]). *)
+    [{jobs, fast, simplify, portfolio}] knobs that make two runs
+    comparable ([Sqed_exp.Provenance.config]). *)
 
 val entry :
   kind:string -> label:string -> provenance:Json.t -> run:Json.t -> Json.t
@@ -69,10 +69,13 @@ val compatible : Json.t -> Json.t -> bool
 (** [compatible a b] is true when both entries carry a provenance
     config and the configs are structurally equal — the gate that keeps
     the sentinel from comparing, say, a [--no-simplify] run against a
-    preprocessed baseline.  A legacy ["aig": true] field (written while
-    a direct-Tseitin bit-blaster still existed) is ignored, so older
-    AIG-path entries stay usable baselines.  Entries without a config
-    are never compatible. *)
+    preprocessed baseline.  Keys of retired knobs are ignored when the
+    old run used what is now the only behaviour, so such entries stay
+    usable baselines: ["aig": true] (written while a direct-Tseitin
+    bit-blaster still existed), and ["portfolio_deterministic"] when it
+    is [true] or the run's [portfolio] width is 1 (a [false] at a larger
+    width ran the retired parallel race).  Entries without a config are
+    never compatible. *)
 
 val summary_line : int -> Json.t -> string
 (** One human-readable line for [sepe runs list]: index, UTC

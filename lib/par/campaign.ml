@@ -11,7 +11,7 @@ let note key status detail dur =
   Report.note_case
     { Report.rc_key = key; rc_status = status; rc_detail = detail; rc_dur = dur }
 
-let run ?pool ?jobs ?task_budget ?task_deadline ?retries ?checkpoint
+let run ?pool ?jobs ?task_budget ?checkpoint
     ?(detail = fun _ -> "ok") ~key label f tasks =
   let journal =
     Option.map (fun (path, codec) -> (Journal.open_ path, codec)) checkpoint
@@ -64,7 +64,7 @@ let run ?pool ?jobs ?task_budget ?task_deadline ?retries ?checkpoint
     v
   in
   let go p =
-    Pool.map_result p ?retries ?task_deadline run_one
+    Pool.map_result p run_one
       (List.mapi (fun i task -> (i, task)) to_run)
   in
   let outcomes =

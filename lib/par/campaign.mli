@@ -22,8 +22,6 @@ val run :
   ?pool:Pool.t ->
   ?jobs:int ->
   ?task_budget:float ->
-  ?task_deadline:float ->
-  ?retries:int ->
   ?checkpoint:string * 'b codec ->
   ?detail:('b -> string) ->
   key:('a -> string) ->
@@ -38,9 +36,10 @@ val run :
     - [?pool] runs the tasks on a caller-owned pool; otherwise a fresh
       pool of [?jobs] workers (default {!Pool.default_jobs}) is created
       for the call.
-    - [?retries] and [?task_deadline] go to {!Pool.map_result};
-      [?task_budget] is the per-task budget in seconds that
-      {!Sqed_obs.Progress} uses for stall detection.
+    - [?task_budget] is the per-task budget in seconds that
+      {!Sqed_obs.Progress} uses for stall detection; it does not limit the task.
+      A task that needs a limit sets one itself with
+      {!Sqed_resil.Budget.within}.
     - [?checkpoint (path, codec)] opens the {!Sqed_resil.Journal} at
       [path].  A task whose [key] is journaled and decodes comes back
       as [Ok] without running, counted in [skipped] (not in [ok]).

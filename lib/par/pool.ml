@@ -9,7 +9,6 @@ module Fault = Sqed_resil.Fault
    presence in every metrics snapshot). *)
 let m_retries = Metrics.counter "resil.retries"
 let m_task_failures = Metrics.counter "resil.task_failures"
-let m_tasks_skipped = Metrics.counter "resil.tasks_skipped"
 let sp_retry = Trace.kind ~cat:"resil" "resil.retry"
 
 type task = int -> unit
@@ -104,80 +103,38 @@ let jobs p = p.n_jobs
 
 let check_open p = if p.closed then invalid_arg "Pool: already shut down"
 
-(* One batch: a completion counter guarded by the pool mutex, plus the
-   first exception raised by any task (re-raised at the join point). *)
-type batch = {
-  mutable remaining : int;
-  batch_done : Condition.t;
-  mutable failure : (exn * Printexc.raw_backtrace) option;
-}
-
 let to_us dt = int_of_float (dt *. 1e6)
 
-let submit_batch p wrap n =
+(* Run [run 0 .. run (n - 1)] and return once every one has finished.
+   [run] must not raise: a worker domain has nowhere to send an
+   exception. *)
+let run_batch p run n =
   check_open p;
-  let b =
-    { remaining = n; batch_done = Condition.create (); failure = None }
-  in
-  let guarded ~failfast i w =
-    (* Fail-fast drain: once any task of the batch has failed, still-
-       queued tasks are skipped (their work would be discarded by the
-       re-raise anyway).  Only the queued path does this — [jobs = 1]
-       keeps the historical run-everything-then-raise behavior. *)
-    let skip =
-      failfast
-      && begin
-           Mutex.lock p.mutex;
-           let s = b.failure <> None in
-           Mutex.unlock p.mutex;
-           s
-         end
-    in
-    if skip then begin
-      Metrics.add_always m_tasks_skipped 1;
-      Mutex.lock p.mutex;
-      b.remaining <- b.remaining - 1;
-      if b.remaining = 0 then Condition.broadcast b.batch_done;
-      Mutex.unlock p.mutex
-    end
-    else begin
-      let t0 = Unix.gettimeofday () in
-      Progress.task_begin w;
-      let fail =
-        try wrap i; None
-        with e -> Some (e, Printexc.get_raw_backtrace ())
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      Progress.task_end dt;
-      (match fail with
-      | Some (e, _) ->
-          Trace.warn "pool.task.failed"
-            [
-              ("worker", Trace.I w);
-              ("task", Trace.I i);
-              ("error", Trace.Str (Printexc.to_string e));
-            ]
-      | None -> ());
-      (* Counter writes happen before the batch-done critical section: the
-         mutex release/acquire pair is what makes them visible to a [stats]
-         read issued after [map]/[iter] returns. *)
-      let c = p.counters.(w) in
-      Metrics.add_always c.c_tasks 1;
-      Metrics.add_always c.c_busy_us (to_us dt);
-      Mutex.lock p.mutex;
-      (match fail with
-       | Some _ when b.failure = None -> b.failure <- fail
-       | _ -> ());
-      b.remaining <- b.remaining - 1;
-      if b.remaining = 0 then Condition.broadcast b.batch_done;
-      Mutex.unlock p.mutex
-    end
+  (* The batch's completion counter, guarded by the pool mutex. *)
+  let remaining = ref n in
+  let batch_done = Condition.create () in
+  let run_task i w =
+    let t0 = Unix.gettimeofday () in
+    Progress.task_begin w;
+    run i;
+    let dt = Unix.gettimeofday () -. t0 in
+    Progress.task_end dt;
+    (* Counter writes happen before the batch-done critical section: the
+       mutex release/acquire pair is what makes them visible to a [stats]
+       read issued after [map_result] returns. *)
+    let c = p.counters.(w) in
+    Metrics.add_always c.c_tasks 1;
+    Metrics.add_always c.c_busy_us (to_us dt);
+    Mutex.lock p.mutex;
+    decr remaining;
+    if !remaining = 0 then Condition.broadcast batch_done;
+    Mutex.unlock p.mutex
   in
   if p.n_jobs = 1 then
     (* Inline: deterministic submission order, no queueing (and hence no
        queue wait). *)
     for i = 0 to n - 1 do
-      guarded ~failfast:false i 0
+      run_task i 0
     done
   else begin
     Mutex.lock p.mutex;
@@ -187,7 +144,7 @@ let submit_batch p wrap n =
         (fun w ->
           Metrics.add_always p.counters.(w).c_wait_us
             (to_us (Unix.gettimeofday () -. queued_at));
-          guarded ~failfast:true i w)
+          run_task i w)
         p.queue
     done;
     Condition.broadcast p.nonempty;
@@ -196,11 +153,11 @@ let submit_batch p wrap n =
        [jobs = n] means n busy domains, not n workers plus an idle waiter. *)
     let rec help () =
       Mutex.lock p.mutex;
-      if b.remaining = 0 then Mutex.unlock p.mutex
+      if !remaining = 0 then Mutex.unlock p.mutex
       else if Queue.is_empty p.queue then begin
         (* Tasks of this batch are still running on workers: wait. *)
-        while b.remaining > 0 do
-          Condition.wait b.batch_done p.mutex
+        while !remaining > 0 do
+          Condition.wait batch_done p.mutex
         done;
         Mutex.unlock p.mutex
       end
@@ -212,37 +169,22 @@ let submit_batch p wrap n =
       end
     in
     help ()
-  end;
-  match b.failure with
-  | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-  | None -> ()
-
-let map_array p f xs =
-  let n = Array.length xs in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    submit_batch p (fun i -> results.(i) <- Some (f xs.(i))) n;
-    Array.map (function Some r -> r | None -> assert false) results
   end
-
-let map p f xs = Array.to_list (map_array p f (Array.of_list xs))
 
 (* -- supervised mapping ------------------------------------------------- *)
 
 type task_error = { error : string; attempts : int; exhausted : bool }
 
-let run_supervised ~retries ~backoff ~task_deadline f x =
+(* A failing task gets one retry, after this many seconds. *)
+let retries = 1
+let backoff = 0.05
+
+let run_supervised f x =
   let rec attempt k sleep =
-    (* The soft deadline is per *attempt*: a retry gets a fresh window,
-       bounded overall by the retry cap. *)
-    let budget =
-      match task_deadline with
-      | None -> Budget.unlimited
-      | Some d -> Budget.create ~deadline:(Unix.gettimeofday () +. d) ()
-    in
+    (* The task's limits are its own: it starts under no ambient budget
+       and narrows one with [Budget.within] where it needs one. *)
     match
-      Budget.with_current budget (fun () ->
+      Budget.with_current Budget.unlimited (fun () ->
           Fault.check "pool.task";
           f x)
     with
@@ -283,28 +225,14 @@ let run_supervised ~retries ~backoff ~task_deadline f x =
   in
   attempt 0 backoff
 
-let map_result p ?(retries = 1) ?(backoff = 0.05) ?task_deadline f xs =
+let map_result p f xs =
   let xs = Array.of_list xs in
   let n = Array.length xs in
-  if n = 0 then []
-  else begin
-    let results =
-      Array.make n
-        (Error { error = "task never ran"; attempts = 0; exhausted = false })
-    in
-    (* The wrap never raises, so the batch always runs to completion:
-       supervision replaces fail-fast semantics with per-task verdicts. *)
-    submit_batch p
-      (fun i ->
-        results.(i) <-
-          run_supervised ~retries ~backoff ~task_deadline f xs.(i))
-      n;
-    Array.to_list results
-  end
-
-let iter p f xs =
-  let xs = Array.of_list xs in
-  submit_batch p (fun i -> f xs.(i)) (Array.length xs)
+  let results = Array.make n None in
+  (* The supervised wrap never raises, so the batch always runs to
+     completion with one verdict per task. *)
+  run_batch p (fun i -> results.(i) <- Some (run_supervised f xs.(i))) n;
+  Array.to_list (Array.map Option.get results)
 
 type worker_stats = {
   worker : int;

@@ -2,10 +2,12 @@
     campaigns (per-instruction synthesis, per-bug BMC).
 
     The pool owns [jobs - 1] worker domains plus the caller's domain; a
-    Mutex/Condition task queue feeds them.  Tasks must be independent: the
-    SMT term universe is domain-local (see {!Sqed_smt.Term}), so a task
-    must build every term it uses itself and must only return plain data
-    (or terms it created) to the caller.
+    Mutex/Condition task queue feeds them.  {!create} is the one place
+    the libraries spawn domains, and {!map_result} the one way to run
+    work on them.  Tasks must be independent: the SMT term universe is
+    domain-local (see {!Sqed_smt.Term}), so a task must build every term
+    it uses itself and must only return plain data (or terms it created)
+    to the caller.
 
     Nested use of the same pool from inside a task deadlocks and is not
     supported; create an inner pool or run inline instead. *)
@@ -23,20 +25,8 @@ val create : ?jobs:int -> unit -> t
     runs inline on the caller, in submission order. *)
 
 val jobs : t -> int
-
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
-(** Parallel map preserving input order.  Blocks until the batch has
-    drained.  If any task raised, the first exception observed is
-    re-raised at the join point; with [jobs > 1] the failure also stops
-    dispatch — tasks still queued when it is recorded are skipped
-    (fail-fast drain; counted in [resil.tasks_skipped]).  With
-    [jobs = 1] every task runs in submission order before the re-raise,
-    exactly as before.  For campaigns that must survive failing cases,
-    use {!map_result}. *)
-
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
-
-val iter : t -> ('a -> unit) -> 'a list -> unit
+(** The pool's worker count, the caller's domain included: [jobs] as
+    given to {!create}, clamped to at least 1. *)
 
 (** {1 Supervised mapping} *)
 
@@ -48,31 +38,25 @@ type task_error = {
           inconclusive timeout rather than a hard error *)
 }
 
-val map_result :
-  t ->
-  ?retries:int ->
-  ?backoff:float ->
-  ?task_deadline:float ->
-  ('a -> 'b) ->
-  'a list ->
-  ('b, task_error) result list
-(** Supervised parallel map: each task yields [Ok result] or
-    [Error task_error]; the batch always runs to completion, so one
-    crashing case cannot take down a campaign.
+val map_result : t -> ('a -> 'b) -> 'a list -> ('b, task_error) result list
+(** Supervised parallel map preserving input order: each task yields
+    [Ok result] or [Error task_error].  Blocks until the batch has
+    drained; the batch always runs to completion, so one crashing case
+    cannot take down a campaign.  This is the one way to run work on
+    the pool's domains.
 
-    Failed tasks are retried up to [retries] times (default 1) with
-    exponentially growing sleep starting at [backoff] seconds (default
-    0.05) — except {!Sqed_resil.Budget.Exhausted} (the work is simply
-    over budget; retrying would recur) and {!Sqed_resil.Fault.Injected}
+    A failed task is retried once, after 0.05 s — except on
+    {!Sqed_resil.Budget.Exhausted} (the work is simply over budget;
+    retrying would recur) and {!Sqed_resil.Fault.Injected}
     (deterministic by design), which fail immediately.  Retries are
     counted in [resil.retries] and wrapped in [resil.retry] spans;
     final failures in [resil.task_failures].
 
-    [task_deadline] imposes a soft per-attempt wall-clock budget,
-    installed as the domain's ambient {!Sqed_resil.Budget.current} so
-    budget-aware layers (SAT search, bit-blasting, preprocessing) honor
-    it with no extra plumbing.  Tasks also hit the [pool.task] fault
-    injection site before each attempt. *)
+    Each attempt runs under an unlimited ambient
+    {!Sqed_resil.Budget.current}; a task that needs a limit narrows it
+    itself with {!Sqed_resil.Budget.within}, so the task's budget is its
+    only limit channel.  Tasks also hit the [pool.task] fault injection
+    site before each attempt. *)
 
 type worker_stats = {
   worker : int;  (** 0 is the slot used by inline execution ([jobs = 1]) *)

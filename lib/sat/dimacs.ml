@@ -61,7 +61,7 @@ let print cnf =
     cnf.clauses;
   Buffer.contents buf
 
-let solve ?(portfolio = 1) ?(deterministic = false) cnf =
+let solve ?(portfolio = 1) cnf =
   let s = Sat.create () in
   (* One-shot solving: preprocessing always pays for itself here, and the
      model-extension machinery keeps the returned assignment complete. *)
@@ -80,7 +80,7 @@ let solve ?(portfolio = 1) ?(deterministic = false) cnf =
   let result =
     (* A standalone instance is exactly the portfolio's sweet spot: one
        hard query, no incremental follow-up to amortize against. *)
-    if portfolio > 1 then Portfolio.solve ~deterministic ~k:portfolio s
+    if portfolio > 1 then Portfolio.solve ~k:portfolio s
     else Sat.solve s
   in
   match result with

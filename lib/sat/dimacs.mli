@@ -11,9 +11,7 @@ val parse : string -> (cnf, string) result
 val print : cnf -> string
 (** Render a CNF back to DIMACS text (header plus one clause per line). *)
 
-val solve :
-  ?portfolio:int -> ?deterministic:bool -> cnf -> Sat.result * bool array option
+val solve : ?portfolio:int -> cnf -> Sat.result * bool array option
 (** Run the CDCL solver on a parsed instance; on SAT, the array maps
     variable i (1-based, index i-1) to its value.  [portfolio] above 1
-    races that many diversified workers via {!Portfolio.solve}
-    ([deterministic] for the reproducible round-robin mode). *)
+    runs that many diversified workers via {!Portfolio.solve}. *)

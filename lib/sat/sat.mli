@@ -16,7 +16,7 @@
 type t
 (** A solver instance: clause database, assignment trail and heuristic
     state.  Single-owner mutable — never share one instance across
-    domains (the portfolio layer {!clone}s instead). *)
+    domains; the portfolio layer gives each worker its own {!clone}. *)
 
 type lit = int
 (** Literals are [2 * var] (positive) or [2 * var + 1] (negated). *)

@@ -12,11 +12,7 @@ let h_check_us = Metrics.histogram "smt.check_latency_us"
 
 type result = Sat | Unsat | Unknown
 
-type config = {
-  simplify : bool;
-  portfolio : int;
-  portfolio_deterministic : bool;
-}
+type config = { simplify : bool; portfolio : int }
 
 type t = {
   sat : Sat.t;
@@ -25,13 +21,12 @@ type t = {
   config : config; (* portfolio width clamped to at least 1 *)
   (* The per-query gate: the BMC engine flips this on only for deep
      bounds, so cheap shallow queries (and every CEGIS candidate) never
-     pay clone/spawn overhead even when `--portfolio K` is global. *)
+     pay clone overhead even when `--portfolio K` is global. *)
   mutable portfolio_active : bool;
   mutable last_unknown : Budget.reason option;
 }
 
-let default_config =
-  { simplify = true; portfolio = 1; portfolio_deterministic = false }
+let default_config = { simplify = true; portfolio = 1 }
 
 (* The run-wide configuration: a front-end sets it once from its flags
    before any solver exists, and every [create] without [?config] reads
@@ -90,7 +85,6 @@ let check ?(assumptions = []) ?max_conflicts s =
               let verdict =
                 if s.config.portfolio > 1 && s.portfolio_active then
                   Portfolio.solve ~k:s.config.portfolio
-                    ~deterministic:s.config.portfolio_deterministic
                     ~assumptions:assumption_lits s.sat
                 else Sat.solve ~assumptions:assumption_lits s.sat
               in

@@ -29,17 +29,13 @@ type config = {
       (** Portfolio width, 1 = single engine (the `--portfolio K` flag).
           Width alone does not engage the portfolio; see
           {!set_portfolio_active}. *)
-  portfolio_deterministic : bool;
-      (** Run the portfolio as a reproducible single-domain round-robin
-          instead of a parallel race (the `--portfolio-deterministic`
-          flag). *)
 }
 (** The knobs that shape every solver of a run.  Two runs are only
     comparable when their configs match, so the run ledger stamps this
     record into each entry's provenance. *)
 
 val default_config : config
-(** [{ simplify = true; portfolio = 1; portfolio_deterministic = false }]. *)
+(** [{ simplify = true; portfolio = 1 }]. *)
 
 val set_config : config -> unit
 (** Set the run-wide config that {!create} uses when given no

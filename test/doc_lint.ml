@@ -8,12 +8,12 @@
    a module-level odoc doc-comment as its first token, and that comment
    must have some substance rather than being empty.
 
-   The solver-stack interfaces (lib/sat, lib/bmc) are held to a stricter
-   standard: every exported [val] must carry its own doc comment,
-   attached the way odoc attaches them — either immediately before the
-   declaration or immediately after it.  A comment sitting between two
-   vals attaches to the one before it (the odoc rule), so it cannot
-   excuse the next one.  With odoc installed, `dune build @doc` renders
+   The solver-stack and pool interfaces (lib/sat, lib/bmc, lib/par) are
+   held to a stricter standard: every exported [val] must carry its own
+   doc comment, attached the way odoc attaches them — either immediately
+   before the declaration or immediately after it.  A comment sitting
+   between two vals attaches to the one before it (the odoc rule), so it
+   cannot excuse the next one.  With odoc installed, `dune build @doc` renders
    the same comments; see docs/ARCHITECTURE.md and docs/SOLVER.md. *)
 
 let read_file path =
@@ -141,7 +141,8 @@ let undocumented_vals s =
   in
   walk [] (elements s)
 
-(* Path-keyed strictness: the solver stack must document every export. *)
+(* Path-keyed strictness: the solver stack and the pool must document
+   every export. *)
 let strict path =
   let p = String.concat "/" (String.split_on_char '\\' path) in
   let has sub =
@@ -149,7 +150,7 @@ let strict path =
     let rec at i = i + ls <= lp && (String.sub p i ls = sub || at (i + 1)) in
     at 0
   in
-  has "lib/sat/" || has "lib/bmc/"
+  has "lib/sat/" || has "lib/bmc/" || has "lib/par/"
 
 let () =
   let failures = ref 0 in

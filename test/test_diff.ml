@@ -9,6 +9,8 @@
 module Json = Sqed_obs.Json
 module Diff = Sqed_obs.Diff
 module History = Sqed_obs.History
+module Solver = Sqed_smt.Solver
+module Provenance = Sqed_exp.Provenance
 
 let close = Alcotest.(check (float 1e-9))
 
@@ -415,6 +417,46 @@ let test_ledger_legacy_aig () =
   Alcotest.(check bool) "aig=false entry does not" false
     (History.compatible (legacy false) current)
 
+(* The committed ledger predates two retired knobs: its entries stamp
+   ["aig": true] and ["portfolio_deterministic": false] at width 1.
+   Both name what every run now does, so the entries must stay
+   baselines for the current stamp.  At a width above 1, [false] ran the
+   retired parallel race and must not match; [true] ran the round-robin
+   that remains and must. *)
+let test_ledger_committed_entries () =
+  let committed = History.load "../LEDGER_sepe.jsonl" in
+  let current_config =
+    let saved = Solver.config () in
+    Solver.set_config Solver.default_config;
+    Fun.protect
+      ~finally:(fun () -> Solver.set_config saved)
+      (fun () -> Provenance.config ~jobs:1 ~fast:true)
+  in
+  Alcotest.(check bool) "current stamp is {jobs, fast, simplify, portfolio}"
+    true (current_config = config);
+  let current = mk_entry ~config:current_config "new" 41.0 in
+  Alcotest.(check int) "four committed entries" 4
+    (List.length committed.History.entries);
+  List.iter
+    (fun old ->
+      Alcotest.(check bool) "committed entry matches the current stamp" true
+        (History.compatible old current))
+    committed.History.entries;
+  let with_width width =
+    List.map
+      (function "portfolio", _ -> ("portfolio", Json.Int width) | f -> f)
+      config
+  in
+  let old ~width det =
+    let retired = ("portfolio_deterministic", Json.Bool det) in
+    mk_entry ~config:(with_width width @ [ retired ]) "old" 40.0
+  in
+  let at width = mk_entry ~config:(with_width width) "new" 41.0 in
+  Alcotest.(check bool) "round-robin at width 3 matches" true
+    (History.compatible (old ~width:3 true) (at 3));
+  Alcotest.(check bool) "race at width 3 does not" false
+    (History.compatible (old ~width:3 false) (at 3))
+
 (* -- properties ----------------------------------------------------------- *)
 
 let finite_list =
@@ -501,4 +543,6 @@ let suite =
       test_ledger_append_after_torn_tail;
     Alcotest.test_case "ledger: legacy aig=true config is compatible" `Quick
       test_ledger_legacy_aig;
+    Alcotest.test_case "ledger: committed entries match the current stamp"
+      `Quick test_ledger_committed_entries;
   ]

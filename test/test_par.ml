@@ -7,10 +7,18 @@
 module Pool = Sqed_par.Pool
 module Synth = Sqed_synth
 
+(* Every task's value, failing the test on a task error. *)
+let values rs =
+  List.map
+    (function
+      | Ok v -> v
+      | Error e -> Alcotest.failf "task failed: %s" e.Pool.error)
+    rs
+
 let test_map_order () =
   Pool.with_pool ~jobs:4 (fun p ->
       let xs = List.init 100 Fun.id in
-      let ys = Pool.map p (fun x -> x * x) xs in
+      let ys = values (Pool.map_result p (fun x -> x * x) xs) in
       Alcotest.(check (list int))
         "squares in order"
         (List.map (fun x -> x * x) xs)
@@ -20,43 +28,55 @@ let test_map_inline () =
   (* jobs = 1 runs tasks inline on the caller, in order, no domains. *)
   Pool.with_pool ~jobs:1 (fun p ->
       Alcotest.(check int) "one worker" 1 (Pool.jobs p);
-      let ys = Pool.map p (fun x -> x + 1) [ 1; 2; 3 ] in
+      let ys = values (Pool.map_result p (fun x -> x + 1) [ 1; 2; 3 ]) in
       Alcotest.(check (list int)) "inline path" [ 2; 3; 4 ] ys)
 
 let test_batch_reuse () =
-  (* A pool must survive several map batches. *)
+  (* A pool must survive several batches. *)
   Pool.with_pool ~jobs:3 (fun p ->
       for i = 1 to 5 do
-        let ys = Pool.map p (fun x -> x * i) [ 1; 2; 3 ] in
+        let ys = values (Pool.map_result p (fun x -> x * i) [ 1; 2; 3 ]) in
         Alcotest.(check (list int)) "batch" [ i; 2 * i; 3 * i ] ys
       done)
 
 let test_iter () =
   Pool.with_pool ~jobs:4 (fun p ->
       let total = Atomic.make 0 in
-      Pool.iter p (fun x -> ignore (Atomic.fetch_and_add total x))
-        (List.init 50 Fun.id);
+      ignore
+        (values
+           (Pool.map_result p
+              (fun x -> ignore (Atomic.fetch_and_add total x))
+              (List.init 50 Fun.id)));
       Alcotest.(check int) "side effects all ran" (50 * 49 / 2)
         (Atomic.get total))
 
 let test_exception_propagates () =
+  (* A raising task comes back at the join point as that task's error,
+     after its one retry; its neighbours still run. *)
   Pool.with_pool ~jobs:2 (fun p ->
-      match
-        Pool.map p
+      let rs =
+        Pool.map_result p
           (fun x -> if x = 7 then failwith "boom" else x)
           (List.init 16 Fun.id)
-      with
-      | _ -> Alcotest.fail "expected the task exception to re-raise"
-      | exception Failure m -> Alcotest.(check string) "message" "boom" m);
-  (* The pool that raised must still be usable for the next batch. *)
+      in
+      List.iteri
+        (fun i r ->
+          match r with
+          | Ok v when i <> 7 -> Alcotest.(check int) "neighbour ran" i v
+          | Error e when i = 7 ->
+              Alcotest.(check string) "message" "Failure(\"boom\")" e.Pool.error;
+              Alcotest.(check int) "retried once" 2 e.Pool.attempts
+          | _ -> Alcotest.failf "task %d: unexpected outcome" i)
+        rs);
+  (* The pool that saw a failure must still be usable for the next batch. *)
   Pool.with_pool ~jobs:2 (fun p ->
-      (try ignore (Pool.map p (fun _ -> failwith "x") [ 1 ]) with _ -> ());
+      ignore (Pool.map_result p (fun _ -> failwith "x") [ 1 ]);
       Alcotest.(check (list int)) "usable after failure" [ 4 ]
-        (Pool.map p (fun x -> x * 2) [ 2 ]))
+        (values (Pool.map_result p (fun x -> x * 2) [ 2 ])))
 
 let test_stats () =
   Pool.with_pool ~jobs:2 (fun p ->
-      ignore (Pool.map p Fun.id (List.init 10 Fun.id));
+      ignore (Pool.map_result p Fun.id (List.init 10 Fun.id));
       let ws = Pool.stats p in
       Alcotest.(check int) "one slot per worker" (Pool.jobs p) (List.length ws);
       let total = List.fold_left (fun acc w -> acc + w.Pool.tasks) 0 ws in
@@ -84,7 +104,8 @@ let campaign_fingerprint jobs =
     }
   in
   Pool.with_pool ~jobs (fun p ->
-      Pool.map p
+      values
+      @@ Pool.map_result p
         (fun case ->
           let r =
             Synth.Hpf.synthesize ~options ~spec:(Synth.Library_.spec case)

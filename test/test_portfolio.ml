@@ -2,19 +2,14 @@
    solve must return the same verdict as a single-engine solve on the
    same instance (models checked against the original clauses), across
    the simplify × AIG matrix and through the incremental/assumption API;
-   deterministic mode must be bit-identical across repeat runs; a
-   cancelled or budget-exhausted portfolio must leave the master solver
+   repeat runs must be bit-identical; a budget-exhausted portfolio, or
+   one whose losers were stopped by a win, must leave the master solver
    fully reusable. *)
 
 module Sat = Sqed_sat.Sat
 module Portfolio = Sqed_sat.Portfolio
 module Budget = Sqed_resil.Budget
 module Smt = Sqed_smt
-
-(* The CI container is single-core, where parallel mode would fall back
-   to the round-robin scheduler; force real Domain.spawn races so the
-   ring, the cancellation path and the controller loop stay covered. *)
-let () = Portfolio.force_spawn := true
 
 type cnf = int list list (* positive ints 1..n, negative for negated *)
 
@@ -76,11 +71,11 @@ let php_nvars n = (n + 1) * n
 
 (* -- differential fuzz: portfolio verdict = single-engine verdict ------- *)
 
-let differential ~deterministic ~k ~simplify ~nvars (cnf : cnf) =
+let differential ~k ~simplify ~nvars (cnf : cnf) =
   let plain, _ = load ~simplify:false ~nvars cnf in
   let port, v = load ~simplify ~nvars cnf in
   let r_plain = Sat.solve plain in
-  let r_port = Portfolio.solve ~deterministic ~k port in
+  let r_port = Portfolio.solve ~k port in
   r_plain = r_port && (r_port <> Sat.Sat || model_ok port v cnf)
 
 (* Assumptions through the portfolio: the verdict must match a plain
@@ -93,9 +88,7 @@ let differential_assumptions ~k ~nvars (cnf, assumed) =
   let port, vs = load ~simplify:true ~nvars cnf in
   let r_plain = Sat.solve ~assumptions:(List.map (to_lit vp) assumed) plain in
   let r_port =
-    Portfolio.solve ~deterministic:true ~k
-      ~assumptions:(List.map (to_lit vs) assumed)
-      port
+    Portfolio.solve ~k ~assumptions:(List.map (to_lit vs) assumed) port
   in
   r_plain = r_port
   && (r_port <> Sat.Sat
@@ -110,7 +103,7 @@ let differential_assumptions ~k ~nvars (cnf, assumed) =
    portfolio solve again — against a fresh plain solver on the union. *)
 let differential_incremental ~k ~nvars (cnf1, cnf2) =
   let port, v = load ~simplify:true ~nvars cnf1 in
-  let r1 = Portfolio.solve ~deterministic:true ~k port in
+  let r1 = Portfolio.solve ~k port in
   List.iter
     (fun clause ->
       Sat.add_clause port
@@ -120,7 +113,7 @@ let differential_incremental ~k ~nvars (cnf1, cnf2) =
              if l > 0 then Sat.pos var else Sat.neg_of_var var)
            clause))
     cnf2;
-  let r2 = Portfolio.solve ~deterministic:true ~k port in
+  let r2 = Portfolio.solve ~k port in
   let plain1, _ = load ~simplify:false ~nvars cnf1 in
   let plain2, _ = load ~simplify:false ~nvars (cnf1 @ cnf2) in
   r1 = Sat.solve plain1
@@ -137,12 +130,12 @@ let result_t =
       | Sat.Unknown -> "UNKNOWN"))
     ( = )
 
-(* Deterministic mode: repeat runs are bit-identical — same verdict and
-   the exact same solver statistics on the master. *)
+(* Repeat runs are bit-identical — same verdict and the exact same
+   solver statistics on the master. *)
 let test_deterministic_identical () =
   let run () =
     let s, _ = load ~simplify:true ~nvars:(php_nvars 5) (php 5) in
-    let r = Portfolio.solve ~deterministic:true ~k:4 s in
+    let r = Portfolio.solve ~k:4 s in
     (r, Sat.stats s)
   in
   let r1, st1 = run () in
@@ -151,24 +144,24 @@ let test_deterministic_identical () =
   Alcotest.check result_t "unsat" Sat.Unsat r1;
   Alcotest.(check bool) "bit-identical stats" true (st1 = st2)
 
-(* Parallel cancellation: the losers are cancelled mid-search; the
-   master must stay fully reusable afterwards — model readable, more
-   clauses addable, further (portfolio and plain) solves sound. *)
+(* A win stops the losers mid-search; the master must stay fully
+   reusable afterwards — model readable, more clauses addable, further
+   (portfolio and plain) solves sound. *)
 let test_cancellation_reusable () =
   let nvars = 30 in
   (* Satisfiable: a chain x1 -> x2 -> ... with a free tail, so every
-     worker races towards a model and the winner cancels the rest. *)
+     worker races towards a model and the winner stops the rest. *)
   let cnf =
     List.init (nvars - 1) (fun i -> [ -(i + 1); i + 2 ]) @ [ [ 1 ] ]
   in
   let s, v = load ~simplify:true ~nvars cnf in
-  let r = Portfolio.solve ~deterministic:false ~k:3 s in
+  let r = Portfolio.solve ~k:3 s in
   Alcotest.check result_t "sat" Sat.Sat r;
   Alcotest.(check bool) "model satisfies original" true (model_ok s v cnf);
   (* The chain forces every variable true; contradict the tail. *)
   Sat.add_clause s [ Sat.neg_of_var v.(nvars - 1) ];
   Alcotest.check result_t "unsat after contradiction" Sat.Unsat
-    (Portfolio.solve ~deterministic:false ~k:3 s);
+    (Portfolio.solve ~k:3 s);
   Alcotest.check result_t "plain solve agrees" Sat.Unsat (Sat.solve s)
 
 (* Budget exhaustion mid-portfolio: a calling-domain conflict budget far
@@ -176,40 +169,32 @@ let test_cancellation_reusable () =
    reason, charge the caller's budget, and leave the master reusable once
    the budget is lifted. *)
 let test_budget_exhaustion () =
-  List.iter
-    (fun deterministic ->
-      let s, _ = load ~simplify:false ~nvars:(php_nvars 7) (php 7) in
-      let b = Budget.create ~max_conflicts:40 () in
-      let r =
-        Budget.with_current b (fun () -> Portfolio.solve ~deterministic ~k:3 s)
-      in
-      Alcotest.check result_t "unknown under tiny budget" Sat.Unknown r;
-      (match Sat.last_interrupt s with
-      | Some (Budget.Conflicts | Budget.Deadline) -> ()
-      | other ->
-          Alcotest.failf "expected a budget reason, got %s"
-            (match other with
-            | None -> "none"
-            | Some r -> Budget.string_of_reason r));
-      Alcotest.(check bool)
-        "caller budget charged" true
-        (Budget.conflicts_remaining b < 40);
-      (* Lift the budget: the master must still finish the instance. *)
-      Alcotest.check result_t "reusable after exhaustion" Sat.Unsat
-        (Portfolio.solve ~deterministic ~k:3 s))
-    [ true; false ]
+  let s, _ = load ~simplify:false ~nvars:(php_nvars 7) (php 7) in
+  let b = Budget.create ~max_conflicts:40 () in
+  let r = Budget.with_current b (fun () -> Portfolio.solve ~k:3 s) in
+  Alcotest.check result_t "unknown under tiny budget" Sat.Unknown r;
+  (match Sat.last_interrupt s with
+  | Some (Budget.Conflicts | Budget.Deadline) -> ()
+  | other ->
+      Alcotest.failf "expected a budget reason, got %s"
+        (match other with
+        | None -> "none"
+        | Some r -> Budget.string_of_reason r));
+  Alcotest.(check bool)
+    "caller budget charged" true
+    (Budget.conflicts_remaining b < 40);
+  (* Lift the budget: the master must still finish the instance. *)
+  Alcotest.check result_t "reusable after exhaustion" Sat.Unsat
+    (Portfolio.solve ~k:3 s)
 
-(* A deadline that runs out mid-race in round-robin mode is reported as
+(* A deadline that runs out mid-race is reported as
    [Deadline]: every worker that spent a slice ended it on [Conflicts],
    which is not why the race stopped.  PHP(10) outlasts the deadline by
    far, so the reason does not depend on how many slices fit in it. *)
 let test_round_robin_deadline_reason () =
   let s, _ = load ~simplify:false ~nvars:(php_nvars 10) (php 10) in
   let b = Budget.create ~deadline:(Unix.gettimeofday () +. 0.3) () in
-  let r =
-    Budget.with_current b (fun () ->
-        Portfolio.solve ~deterministic:true ~k:3 s)
-  in
+  let r = Budget.with_current b (fun () -> Portfolio.solve ~k:3 s) in
   Alcotest.check result_t "unknown past the deadline" Sat.Unknown r;
   Alcotest.(check bool)
     "reason is the deadline" true
@@ -218,7 +203,7 @@ let test_round_robin_deadline_reason () =
 (* A one-worker portfolio is exactly the single engine. *)
 let test_k1_passthrough () =
   let s, v = load ~simplify:true ~nvars:12 [ [ 1; 2 ]; [ -1; 3 ]; [ -3 ] ] in
-  let r = Portfolio.solve ~deterministic:false ~k:1 s in
+  let r = Portfolio.solve ~k:1 s in
   Alcotest.check result_t "sat" Sat.Sat r;
   Alcotest.(check bool)
     "model ok" true
@@ -256,11 +241,7 @@ let qfbv_matrix_differential seed =
   let assum = Term.eq (Term.var "x" width) (Term.var "y" width) in
   let extra = Term.eq (Term.var "y" width) (Term.var "z" width) in
   let reference simplify =
-    let s =
-      Solver.create
-        ~config:{ Solver.default_config with Solver.simplify; portfolio = 1 }
-        ()
-    in
+    let s = Solver.create ~config:{ Solver.simplify; portfolio = 1 } () in
     Solver.assert_ s prop;
     let r1 = Solver.check s in
     let r2 = Solver.check ~assumptions:[ assum ] s in
@@ -272,12 +253,7 @@ let qfbv_matrix_differential seed =
     (fun simplify ->
       reference simplify = want
       &&
-      let s =
-        Solver.create
-          ~config:
-            { Solver.simplify; portfolio = 3; portfolio_deterministic = true }
-          ()
-      in
+      let s = Solver.create ~config:{ Solver.simplify; portfolio = 3 } () in
       Solver.set_portfolio_active s true;
       Solver.assert_ s prop;
       let r1 = Solver.check s in
@@ -312,21 +288,16 @@ let props =
                 (int_bound (nvars - 1)) bool)))
   in
   [
-    (* Deterministic mode carries the bulk of the fuzz: no domain spawns,
-       so the counts can stay high. *)
     QCheck.Test.make ~name:"portfolio(det) = single (binary-heavy)" ~count:200
       (arb ~nvars:10 ~max_len:2)
-      (differential ~deterministic:true ~k:3 ~simplify:true ~nvars:10);
+      (differential ~k:3 ~simplify:true ~nvars:10);
     QCheck.Test.make ~name:"portfolio(det) = single (mixed, no simplify)"
       ~count:200
       (arb ~nvars:14 ~max_len:4)
-      (differential ~deterministic:true ~k:4 ~simplify:false ~nvars:14);
+      (differential ~k:4 ~simplify:false ~nvars:14);
     QCheck.Test.make ~name:"portfolio(det) = single (wide clauses)" ~count:100
       (arb ~nvars:20 ~max_len:7)
-      (differential ~deterministic:true ~k:3 ~simplify:true ~nvars:20);
-    QCheck.Test.make ~name:"portfolio(parallel) = single" ~count:40
-      (arb ~nvars:14 ~max_len:4)
-      (differential ~deterministic:false ~k:2 ~simplify:true ~nvars:14);
+      (differential ~k:3 ~simplify:true ~nvars:20);
     QCheck.Test.make ~name:"portfolio assumptions" ~count:150
       (arb_assumed ~nvars:12 ~max_len:3)
       (differential_assumptions ~k:3 ~nvars:12);
