@@ -26,7 +26,8 @@ let read_file path =
   s
 
 (* The end-of-run heap reading both payloads carry: live words after a
-   full collection, never above the heap's top. *)
+   full collection, never above the heap's top, and the allocation
+   totals: promotion only moves words the minor heap allocated. *)
 let check_heap what j =
   let field name =
     Option.bind (Json.member "heap" j) (fun h ->
@@ -35,6 +36,11 @@ let check_heap what j =
   check (what ^ " records the live heap after a full collection")
     (match (field "live_words", field "top_heap_words") with
     | Some live, Some top -> live > 0 && live <= top
+    | _ -> false);
+  check (what ^ " records minor and promoted words")
+    (match (field "minor_words", field "promoted_words") with
+    | Some minor, Some promoted ->
+        minor > 0 && promoted > 0 && promoted <= minor
     | _ -> false)
 
 (* --report mode, used by the @report-smoke alias: validate the flight
@@ -157,7 +163,7 @@ let check_portfolio run_json log_jsonl =
             (Printf.sprintf "counter %s present" name)
             (counter name <> None))
         [ "sat.portfolio.imported"; "sat.portfolio.banked";
-          "sat.portfolio.cancelled" ]);
+          "sat.portfolio.lost" ]);
   let lines =
     String.split_on_char '\n' (read_file log_jsonl)
     |> List.filter (fun l -> String.trim l <> "")
@@ -173,7 +179,7 @@ let check_portfolio run_json log_jsonl =
   check "portfolio.worker.start events logged" (has_event "portfolio.worker.start");
   check "a worker verdict event logged"
     (has_event "portfolio.worker.won"
-    || has_event "portfolio.worker.cancelled"
+    || has_event "portfolio.worker.lost"
     || has_event "portfolio.worker.exhausted");
   if !failures > 0 then begin
     Printf.printf "portfolio-smoke check: %d failure(s)\n" !failures;

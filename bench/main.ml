@@ -505,7 +505,7 @@ let portfolio () =
   in
   section
     (Printf.sprintf
-       "portfolio - %d diversified CDCL workers racing on the hardest BMC \
+       "portfolio - %d diversified CDCL workers, round-robin, on the hardest BMC \
         query\n\
         (table-1 MULH witness, unfocused instruction stream; width 1 vs %d \
         on the same binary)"

@@ -31,7 +31,9 @@ let cases () =
   r
 
 (* The end-of-run heap reading, taken once: the sidecar, the ledger
-   payload and the bench payload all read the same collection. *)
+   payload and the bench payload all read the same collection.  Beside
+   the live heap it carries the run's allocation totals: words allocated
+   on the minor heap and words promoted out of it. *)
 let heap_reading = ref None
 
 let heap_json () =
@@ -45,6 +47,8 @@ let heap_json () =
           [
             ("live_words", Json.Int s.Gc.live_words);
             ("top_heap_words", Json.Int s.Gc.top_heap_words);
+            ("minor_words", Json.Int (int_of_float s.Gc.minor_words));
+            ("promoted_words", Json.Int (int_of_float s.Gc.promoted_words));
           ]
       in
       heap_reading := Some j;

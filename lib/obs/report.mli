@@ -32,8 +32,10 @@ val cases : unit -> case_row list
 (** Rows noted so far, in arrival order. *)
 
 val heap_json : unit -> Json.t
-(** The major heap at the end of the run: [live_words] and
-    [top_heap_words] after one [Gc.full_major].  The first call since
+(** The heap at the end of the run: [live_words] and [top_heap_words]
+    after one [Gc.full_major], and the process's allocation totals
+    [minor_words] (allocated on the minor heap) and [promoted_words]
+    (copied from it to the major heap).  The first call since
     {!reset} collects and reads; later calls return that reading, so
     call it only once the run's work is done.  {!write} and
     {!run_payload} embed it as [heap]. *)

@@ -13,7 +13,7 @@ let m_workers = Metrics.counter "sat.portfolio.workers"
 let m_exported = Metrics.counter "sat.portfolio.exported"
 let m_imported = Metrics.counter "sat.portfolio.imported"
 let m_banked = Metrics.counter "sat.portfolio.banked"
-let m_cancelled = Metrics.counter "sat.portfolio.cancelled"
+let m_lost = Metrics.counter "sat.portfolio.lost"
 let m_wins = Metrics.counter "sat.portfolio.wins"
 
 (* Clauses worth the exchange traffic: glue-ish (low LBD) or short. *)
@@ -190,7 +190,7 @@ let solve ?(assumptions = []) ~k s =
         Metrics.add m_banked (List.length banked);
         if w >= 0 then begin
           Metrics.incr m_wins;
-          Metrics.add m_cancelled (k - 1)
+          Metrics.add m_lost (k - 1)
         end;
         Array.iteri
           (fun i c ->
@@ -207,7 +207,7 @@ let solve ?(assumptions = []) ~k s =
               let result = if verdict = Sat.Sat then "sat" else "unsat" in
               Trace.info "portfolio.worker.won"
                 (("result", Trace.Str result) :: fields)
-            else if w >= 0 then Trace.info "portfolio.worker.cancelled" fields
+            else if w >= 0 then Trace.info "portfolio.worker.lost" fields
             else
               Trace.info "portfolio.worker.exhausted"
                 (("reason", Trace.Str (reason_str (Sat.last_interrupt c)))

@@ -23,8 +23,8 @@
     and are never resolved into learnt clauses (see docs/SOLVER.md).
 
     Observability: [sat.portfolio.*] counters (solves, workers,
-    exported, imported, banked, cancelled, wins) and
-    [portfolio.worker.start]/[won]/[cancelled]/[exhausted]
+    exported, imported, banked, lost, wins) and
+    [portfolio.worker.start]/[won]/[lost]/[exhausted]
     flight-recorder events with per-worker import/export totals. *)
 
 val solve : ?assumptions:Sat.lit list -> k:int -> Sat.t -> Sat.result

@@ -64,18 +64,15 @@ let negate l = l lxor 1
 let var_of l = l lsr 1
 let is_pos l = l land 1 = 0
 
-(* Growable int vector: clause databases and long-clause watch lists
-   (clause offsets), binary watch lists (blocker literals).  A binary
-   watcher stores only the clause's other literal, which is also the
-   implied one, so binary propagation never touches the arena.  The
-   backing array starts as a shared empty sentinel and is materialised on
-   first push: most watch slots are never used, and a fresh solver is
-   created for every CEGIS candidate, so per-literal setup allocation is
-   itself on the hot path. *)
+(* Growable int vectors start as this shared empty array and materialise
+   on first push. *)
+let no_data : int array = [||]
+
+(* Growable int vector: the clause databases (clause offsets) and the
+   elimination stack (variables). *)
 module Ivec = struct
   type t = { mutable data : int array; mutable sz : int }
 
-  let no_data : int array = [||]
   let create () = { data = no_data; sz = 0 }
 
   let push v x =
@@ -91,6 +88,26 @@ module Ivec = struct
   let clear v = v.sz <- 0
   let copy v = { data = Array.sub v.data 0 v.sz; sz = v.sz }
 end
+
+(* Watch tables, one per kind: literal [l]'s list is the first [sz.(l)]
+   entries of [data.(l)].  Long-clause lists hold clause offsets; binary
+   lists hold blocker literals (a binary watcher stores only the clause's
+   other literal, which is also the implied one, so binary propagation
+   never touches the arena).  Every unused slot shares [no_data], and a
+   list grows exactly as an [Ivec] does, so a new variable costs its
+   literals no allocation: a fresh solver is created for every CEGIS
+   candidate, so per-literal setup is itself on the hot path. *)
+let wpush (data : int array array) (sz : int array) l x =
+  let n = sz.(l) in
+  let d = data.(l) in
+  if n = Array.length d then begin
+    let d' = Array.make (if n = 0 then 4 else 2 * n) 0 in
+    Array.blit d 0 d' 0 n;
+    d'.(n) <- x;
+    data.(l) <- d'
+  end
+  else d.(n) <- x;
+  sz.(l) <- n + 1
 
 (* Arena clause layout (see the header comment). *)
 let hdr_words = 3
@@ -166,8 +183,15 @@ type t = {
   mutable act_top : int;
   clauses : Ivec.t; (* problem clauses *)
   learnts : Ivec.t;
-  mutable watches : Ivec.t array; (* clauses of length >= 3, by literal *)
-  mutable bin_watches : Ivec.t array; (* binary blockers, by literal *)
+  (* Watch tables (see [wpush]): clauses of length >= 3 and binary
+     blockers, by literal. *)
+  mutable watches : int array array;
+  mutable watch_sz : int array;
+  mutable bin_watches : int array array;
+  mutable bin_sz : int array;
+  (* Per-variable arrays, [assign] through [heap_pos] below (and the
+     trail), share one capacity, [Array.length assign]; the watch tables
+     hold two slots per variable.  [new_var] grows them all together. *)
   mutable assign : int array; (* per var: -1 undef, 0 false, 1 true *)
   mutable level : int array;
   mutable reason : int array; (* see the reason encoding above *)
@@ -254,8 +278,10 @@ let create () =
     act_top = 0;
     clauses = Ivec.create ();
     learnts = Ivec.create ();
-    watches = Array.init 2 (fun _ -> Ivec.create ());
-    bin_watches = Array.init 2 (fun _ -> Ivec.create ());
+    watches = Array.make 2 no_data;
+    watch_sz = Array.make 2 0;
+    bin_watches = Array.make 2 no_data;
+    bin_sz = Array.make 2 0;
     assign = Array.make 1 (-1);
     level = Array.make 1 0;
     reason = Array.make 1 no_reason;
@@ -420,10 +446,9 @@ let grow_array a n dflt =
     d
   end
 
-let new_var s =
-  let v = s.nvars in
-  s.nvars <- v + 1;
-  let n = s.nvars in
+(* Double the shared per-variable capacity. *)
+let grow_vars s =
+  let n = 2 * Array.length s.assign in
   s.assign <- grow_array s.assign n (-1);
   s.level <- grow_array s.level n 0;
   s.reason <- grow_array s.reason n no_reason;
@@ -436,15 +461,18 @@ let new_var s =
   s.elim_clauses <- grow_array s.elim_clauses n [];
   s.elim_seq <- grow_array s.elim_seq n 0;
   s.heap_pos <- grow_array s.heap_pos n (-1);
-  if Array.length s.watches < 2 * n then begin
-    let len = max (2 * n) (2 * Array.length s.watches) in
-    let old = Array.length s.watches in
-    let d = Array.init len (fun i -> if i < old then s.watches.(i) else Ivec.create ()) in
-    s.watches <- d;
-    let db = Array.init len (fun i -> if i < old then s.bin_watches.(i) else Ivec.create ()) in
-    s.bin_watches <- db
-  end;
-  if Array.length s.trail < n then s.trail <- grow_array s.trail n 0;
+  s.trail <- grow_array s.trail n 0;
+  s.watches <- grow_array s.watches (2 * n) no_data;
+  s.watch_sz <- grow_array s.watch_sz (2 * n) 0;
+  s.bin_watches <- grow_array s.bin_watches (2 * n) no_data;
+  s.bin_sz <- grow_array s.bin_sz (2 * n) 0
+
+(* Slots past [nvars] hold their defaults, so a new variable is only a
+   counter bump and a heap entry unless the capacity is full. *)
+let new_var s =
+  let v = s.nvars in
+  if v = Array.length s.assign then grow_vars s;
+  s.nvars <- v + 1;
   heap_insert s v;
   v
 
@@ -561,20 +589,26 @@ let compact s =
     end;
     off := !off + hdr_words + hdr_size h
   done;
-  let relocate (v : Ivec.t) =
+  (* Rewrite the first [n] offsets of [d] in place; returns the new
+     length. *)
+  let relocate d n =
     let j = ref 0 in
-    for i = 0 to v.Ivec.sz - 1 do
-      let c = v.Ivec.data.(i) in
+    for i = 0 to n - 1 do
+      let c = d.(i) in
       if a.(c) land deleted_bit = 0 then begin
-        v.Ivec.data.(!j) <- a.(c + 2);
+        d.(!j) <- a.(c + 2);
         incr j
       end
     done;
-    v.Ivec.sz <- !j
+    !j
   in
-  Array.iter relocate s.watches;
-  relocate s.clauses;
-  relocate s.learnts;
+  let ws = s.watches and wsz = s.watch_sz in
+  for l = 0 to Array.length ws - 1 do
+    wsz.(l) <- relocate ws.(l) wsz.(l)
+  done;
+  let relocate_vec (v : Ivec.t) = v.Ivec.sz <- relocate v.Ivec.data v.Ivec.sz in
+  relocate_vec s.clauses;
+  relocate_vec s.learnts;
   for i = 0 to s.trail_sz - 1 do
     let v = var_of s.trail.(i) in
     let r = s.reason.(v) in
@@ -614,24 +648,21 @@ let watch s c =
     (* Both literals stay watched forever (binary watchers are never moved
        and binary clauses are never deleted by reduce_db), so only the
        blocker — the other, implied literal — needs to be recorded. *)
-    Ivec.push s.bin_watches.(l0) l1;
-    Ivec.push s.bin_watches.(l1) l0
+    wpush s.bin_watches s.bin_sz l0 l1;
+    wpush s.bin_watches s.bin_sz l1 l0
   end
   else begin
-    Ivec.push s.watches.(l0) c;
-    Ivec.push s.watches.(l1) c
+    wpush s.watches s.watch_sz l0 c;
+    wpush s.watches s.watch_sz l1 c
   end
 
-(* Copy [lits] to the free tail, sorted, without duplicates and without
-   literals false at level 0.  Returns how many literals remain, or -1
-   for a tautology or a clause satisfied at level 0.  This is the
-   encoder's hot path (every Tseitin/AIG clause lands here), so it sorts
-   monomorphically in place and allocates nothing. *)
-let normalize s lits =
-  let n = Array.length lits in
-  reserve s n;
+(* Sort the [n] literals written at the (reserved) free tail in place,
+   dropping duplicates and literals false at level 0.  Returns how many
+   literals remain, or -1 for a tautology or a clause satisfied at level
+   0.  This is the encoder's hot path (every Tseitin/AIG clause lands
+   here), so it sorts monomorphically in place and allocates nothing. *)
+let normalize_tail s n =
   let a = s.arena and base = s.arena_top + hdr_words in
-  Array.blit lits 0 a base n;
   for i = base + 1 to base + n - 1 do
     let x = a.(i) in
     let j = ref (i - 1) in
@@ -662,7 +693,38 @@ let normalize s lits =
   done;
   if !taut then -1 else !k - base
 
+(* Copy [lits] to the free tail, reserving room; returns their number. *)
+let write_tail s lits =
+  let n = Array.length lits in
+  reserve s n;
+  Array.blit lits 0 s.arena (s.arena_top + hdr_words) n;
+  n
+
 exception Early_unsat
+
+(* Land the [n] problem-clause literals written at the (reserved) free
+   tail: a unit is enqueued, a longer clause committed and watched. *)
+let add_tail s n =
+  match normalize_tail s n with
+  | -1 -> ()
+  | 0 ->
+      s.ok <- false;
+      raise Early_unsat
+  | 1 -> (
+      let l = s.arena.(s.arena_top + hdr_words) in
+      if decision_level s <> 0 then
+        invalid_arg "Sat.add_clause: units only at level 0";
+      match lit_val s l with
+      | 1 -> ()
+      | 0 ->
+          s.ok <- false;
+          raise Early_unsat
+      | _ -> enqueue s l no_reason)
+  | m ->
+      let c = commit s ~learnt:false ~lbd:0 m in
+      Ivec.push s.clauses c;
+      watch s c;
+      Metrics.incr m_clauses
 
 (* Drop the retired entries of [elim_stack], keeping live ones in order
    and renumbering their [elim_seq]. *)
@@ -683,31 +745,11 @@ let rec add_clause_internal s lits =
   if s.ok then begin
     (* A clause over an eliminated variable re-opens it: restore the
        stored clauses (transitively) before the new one lands. *)
-    if s.n_elim > 0 then
-      Array.iter
-        (fun l -> if s.elim.(var_of l) then restore_vars s (var_of l))
-        lits;
-    match normalize s lits with
-    | -1 -> ()
-    | 0 ->
-        s.ok <- false;
-        raise Early_unsat
-    | 1 -> (
-        let l = s.arena.(s.arena_top + hdr_words) in
-        if decision_level s <> 0 then
-          invalid_arg "Sat.add_clause: units only at level 0";
-        match lit_val s l with
-        | 1 -> ()
-        | 0 ->
-            s.ok <- false;
-            raise Early_unsat
-        | _ -> enqueue s l no_reason)
-    | m ->
-        let c = commit s ~learnt:false ~lbd:0 m in
-        Ivec.push s.clauses c;
-        watch s c;
-        Metrics.incr m_clauses
+    if s.n_elim > 0 then Array.iter (restore_lit s) lits;
+    add_tail s (write_tail s lits)
   end
+
+and restore_lit s l = if s.elim.(var_of l) then restore_vars s (var_of l)
 
 (* Un-eliminate [v0]: put its stored clauses back into the live set.
    Stored clauses may mention variables eliminated after [v0], whose own
@@ -760,6 +802,38 @@ let add_clause_a s lits =
 
 let add_clause s lits = add_clause_a s (Array.of_list lits)
 
+(* [add_clause_a] for two and three literals, written straight to the
+   free tail: the encoder's gate clauses allocate nothing on the way in. *)
+let add_clause2 s l0 l1 =
+  if s.ok then
+    try
+      if s.n_elim > 0 then begin
+        restore_lit s l0;
+        restore_lit s l1
+      end;
+      reserve s 2;
+      let a = s.arena and base = s.arena_top + hdr_words in
+      a.(base) <- l0;
+      a.(base + 1) <- l1;
+      add_tail s 2
+    with Early_unsat -> ()
+
+let add_clause3 s l0 l1 l2 =
+  if s.ok then
+    try
+      if s.n_elim > 0 then begin
+        restore_lit s l0;
+        restore_lit s l1;
+        restore_lit s l2
+      end;
+      reserve s 3;
+      let a = s.arena and base = s.arena_top + hdr_words in
+      a.(base) <- l0;
+      a.(base + 1) <- l1;
+      a.(base + 2) <- l2;
+      add_tail s 3
+    with Early_unsat -> ()
+
 let freeze s v =
   if v < 0 || v >= s.nvars then invalid_arg "Sat.freeze";
   (try restore_vars s v with Early_unsat -> ());
@@ -786,10 +860,10 @@ let propagate s =
        propagation nor the recorded reason ever touches the arena.  A
        conflicting binary clause is written into the scratch clause. *)
     let bw = s.bin_watches.(false_lit) in
-    let nb = bw.Ivec.sz in
+    let nb = s.bin_sz.(false_lit) in
     let bi = ref 0 in
     while !confl < 0 && !bi < nb do
-      let blit = bw.Ivec.data.(!bi) in
+      let blit = bw.(!bi) in
       (match lit_val s blit with
       | 1 -> ()
       | 0 ->
@@ -803,10 +877,9 @@ let propagate s =
     if !confl < 0 then begin
       (* Pushes below go to other literals' lists, never to this one, so
          its backing array stays put. *)
-      let ws = s.watches.(false_lit) in
-      let wd = ws.Ivec.data in
+      let wd = s.watches.(false_lit) in
       let i = ref 0 and j = ref 0 in
-      let n = ws.Ivec.sz in
+      let n = s.watch_sz.(false_lit) in
       while !i < n do
         let c = wd.(!i) in
         incr i;
@@ -835,7 +908,7 @@ let propagate s =
               let nl = a.(!k) in
               a.(l0 + 1) <- nl;
               a.(!k) <- false_lit;
-              Ivec.push s.watches.(nl) c
+              wpush s.watches s.watch_sz nl c
             end
             else begin
               wd.(!j) <- c;
@@ -855,7 +928,7 @@ let propagate s =
           end
         end
       done;
-      ws.Ivec.sz <- !j
+      s.watch_sz.(false_lit) <- !j
     end
   done;
   !confl
@@ -942,8 +1015,8 @@ let simplify_body s =
          deletion — is cleared and re-filled.  Old reason clauses no
          longer exist; level-0 implications need no justification anyway
          (analyze never looks at level-0 reasons). *)
-      Array.iter Ivec.clear s.watches;
-      Array.iter Ivec.clear s.bin_watches;
+      Array.fill s.watch_sz 0 (Array.length s.watch_sz) 0;
+      Array.fill s.bin_sz 0 (Array.length s.bin_sz) 0;
       for i = 0 to s.trail_sz - 1 do
         s.reason.(var_of s.trail.(i)) <- no_reason
       done;
@@ -1314,7 +1387,7 @@ let import_learnt s lits lbd =
     let keep = ref true in
     Array.iter (fun l -> if s.elim.(var_of l) then keep := false) lits;
     if !keep then
-      match normalize s lits with
+      match normalize_tail s (write_tail s lits) with
       | -1 -> ()
       | 0 -> s.ok <- false
       | 1 -> enqueue s s.arena.(s.arena_top + hdr_words) no_reason
@@ -1636,8 +1709,10 @@ let clone s =
   c.conflicts_at_simplify <- s.conflicts_at_simplify;
   c.n_solves <- s.n_solves;
   let wlen = Array.length s.watches in
-  c.watches <- Array.init wlen (fun _ -> Ivec.create ());
-  c.bin_watches <- Array.init wlen (fun _ -> Ivec.create ());
+  c.watches <- Array.make wlen no_data;
+  c.watch_sz <- Array.make wlen 0;
+  c.bin_watches <- Array.make wlen no_data;
+  c.bin_sz <- Array.make wlen 0;
   c.heap_pos <- Array.make (Array.length s.heap_pos) (-1);
   c.heap <- Array.make (max 16 s.nvars) 0;
   c.heap_sz <- 0;

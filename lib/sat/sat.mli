@@ -54,8 +54,19 @@ val add_clause : t -> lit list -> unit
     it) makes the instance permanently unsatisfiable. *)
 
 val add_clause_a : t -> lit array -> unit
-(** Array variant of {!add_clause} (the encoder hot path; the array is
-    copied, not captured). *)
+(** Array variant of {!add_clause} (the array is copied, not
+    captured). *)
+
+val add_clause2 : t -> lit -> lit -> unit
+(** [add_clause2 s a b] adds the clause [a ∨ b] exactly as
+    [add_clause_a s [| a; b |]] would — same normalization, same
+    restore of eliminated variables, same unsatisfiable outcome — but
+    writes the literals straight into clause storage, allocating
+    nothing.  The encoder's gate clauses go through here. *)
+
+val add_clause3 : t -> lit -> lit -> lit -> unit
+(** [add_clause3 s a b c] is [add_clause_a s [| a; b; c |]] without the
+    array (see {!add_clause2}). *)
 
 (** {2 Preprocessing}
 

@@ -317,6 +317,11 @@ let push_edge t e m =
   if n > 0 && t.lhs.(n) >= 0 then
     push t n (if e land 1 = 1 then flip m else m)
 
+(* The clauses a node's still-missing halves (bits clear in [m]) would
+   cost: 2 for the positive half, [cneg] for the negative one. *)
+let pending cneg m =
+  (if m land 1 = 0 then 2 else 0) + if m land 2 = 0 then cneg else 0
+
 let process_stack t =
   while t.stack_sz > 0 do
     (* Cooperative cancellation point, checked BEFORE popping: each
@@ -368,50 +373,50 @@ let process_stack t =
            end
          end
        end);
-      let cpos, cneg =
+      (* The negative half's clause count (see [pending]). *)
+      let cneg =
         if !s >= 0 then begin
           (* node = if s then th else el *)
           let ls = lit t !s and lt = lit t !th and le = lit t !el in
           if need land 1 <> 0 then begin
-            Sat.add_clause t.sat [ Sat.negate g; Sat.negate ls; lt ];
-            Sat.add_clause t.sat [ Sat.negate g; ls; le ];
+            Sat.add_clause3 t.sat (Sat.negate g) (Sat.negate ls) lt;
+            Sat.add_clause3 t.sat (Sat.negate g) ls le;
             push_edge t !s 3;
             push_edge t !th 1;
             push_edge t !el 1
           end;
           if need land 2 <> 0 then begin
-            Sat.add_clause t.sat [ g; Sat.negate ls; Sat.negate lt ];
-            Sat.add_clause t.sat [ g; ls; Sat.negate le ];
+            Sat.add_clause3 t.sat g (Sat.negate ls) (Sat.negate lt);
+            Sat.add_clause3 t.sat g ls (Sat.negate le);
             push_edge t !s 3;
             push_edge t !th 2;
             push_edge t !el 2
           end;
-          (2, 2)
+          2
         end
         else begin
           let la = lit t l and lb = lit t r in
           if need land 1 <> 0 then begin
-            Sat.add_clause t.sat [ Sat.negate g; la ];
-            Sat.add_clause t.sat [ Sat.negate g; lb ];
+            Sat.add_clause2 t.sat (Sat.negate g) la;
+            Sat.add_clause2 t.sat (Sat.negate g) lb;
             push_edge t l 1;
             push_edge t r 1
           end;
           if need land 2 <> 0 then begin
-            Sat.add_clause t.sat [ g; Sat.negate la; Sat.negate lb ];
+            Sat.add_clause3 t.sat g (Sat.negate la) (Sat.negate lb);
             push_edge t l 2;
             push_edge t r 2
           end;
-          (2, 1)
+          1
         end
       in
       (* pg_skipped tracks clauses *currently* avoided: pay down the debt
          when the other half is emitted later. *)
-      let pending m =
-        (if m land 1 = 0 then cpos else 0) + if m land 2 = 0 then cneg else 0
-      in
       let after = have lor need in
       t.c_pg <-
-        t.c_pg + if have = 0 then pending after else pending after - pending have
+        t.c_pg
+        + if have = 0 then pending cneg after
+          else pending cneg after - pending cneg have
     end
   done
 

@@ -40,11 +40,22 @@ val create : Sat.t -> t
     frozen). *)
 
 val etrue : edge
+(** The constant-true edge (node 0, uncomplemented). *)
+
 val efalse : edge
+(** The constant-false edge, [enot etrue]. *)
+
 val enot : edge -> edge
+(** The complemented edge: flips the low bit, allocates no node. *)
+
 val is_true : edge -> bool
+(** Whether the edge is {!etrue}. *)
+
 val is_false : edge -> bool
+(** Whether the edge is {!efalse}. *)
+
 val is_const : edge -> bool
+(** Whether the edge is one of the two constants. *)
 
 val fresh_input : t -> edge
 (** A primary input, backed by a fresh frozen SAT variable. *)
@@ -52,7 +63,13 @@ val fresh_input : t -> edge
 (** {1 Construction (hash-consed, folding, rewriting)} *)
 
 val and_ : t -> edge -> edge -> edge
+(** The AND of two edges: constants and one-level rewrites fold first,
+    otherwise the hash-consed node for the (normalized) pair. *)
+
 val or_ : t -> edge -> edge -> edge
+(** [or_ t a b] is [enot (and_ t (enot a) (enot b))]: an OR costs no
+    node of its own. *)
+
 val xor_ : t -> edge -> edge -> edge
 (** Built as [AND(not AND(a,b), not AND(not a, not b))] so the inner
     [AND(a,b)] structurally hashes with a full adder's carry term. *)
@@ -65,6 +82,8 @@ val and_many : t -> edge array -> edge
     reduction chains shallow so local rewriting sees both operands. *)
 
 val or_many : t -> edge array -> edge
+(** Balanced OR tree, the dual of {!and_many} (empty array is
+    [efalse]). *)
 
 val num_nodes : t -> int
 

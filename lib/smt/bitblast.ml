@@ -7,6 +7,24 @@ module Fault = Sqed_resil.Fault
    node); the blaster itself only counts memo hits. *)
 let m_cache_hits = Metrics.counter "smt.blast_cache_hits"
 
+(* CNF conversion into the SAT core gets its own timer, nested in the
+   callers' [smt.bitblast] spans, so blasting time splits into AIG
+   construction ([edges]) and Plaisted–Greenbaum CNF.  A timer, not a
+   span: a recorded span per conversion doubles the recorder's most
+   frequent event, and a one-domain [fig3 --fast] trace then overflows
+   its ring. *)
+let t_cnf = Metrics.timer "smt.cnf"
+
+let cnf f =
+  if not !Metrics.enabled then f ()
+  else begin
+    let t0 = Unix.gettimeofday () in
+    Fun.protect
+      ~finally:(fun () ->
+        Metrics.timer_add t_cnf ((Unix.gettimeofday () -. t0) *. 1e6))
+      f
+  end
+
 (* The memo is keyed by the term itself, so every term the blaster
    encoded stays alive, with its id, for the solver's lifetime: a term
    rebuilt inside a live solver always hits the term universe and then
@@ -227,18 +245,22 @@ let blast t term =
   (* These literals escape to the caller, who may constrain them in
      either phase and emit clauses over them: encode both polarity
      halves and freeze. *)
-  Array.map
-    (fun e ->
-      Aig.encode t.g e Aig.Both;
-      Aig.freeze t.g e;
-      Aig.lit t.g e)
-    (edges t term)
+  let es = edges t term in
+  cnf (fun () ->
+      Array.map
+        (fun e ->
+          Aig.encode t.g e Aig.Both;
+          Aig.freeze t.g e;
+          Aig.lit t.g e)
+        es)
 
 let blast_bool t term =
   if Term.width term <> 1 then invalid_arg "Bitblast.blast_bool: width <> 1";
   (blast t term).(0)
 
-let do_assert t term = Aig.assert_edge t.g (edges t term).(0)
+let do_assert t term =
+  let e = (edges t term).(0) in
+  cnf (fun () -> Aig.assert_edge t.g e)
 
 let assert_bool t term =
   if Term.width term <> 1 then invalid_arg "Bitblast.assert_bool: width <> 1";
@@ -257,7 +279,7 @@ let complete t =
   | pending ->
       Sqed_obs.Trace.info "smt.blast.replay"
         [ ("pending", Sqed_obs.Trace.I (List.length pending)) ]);
-  Aig.drain t.g;
+  cnf (fun () -> Aig.drain t.g);
   let rec go () =
     match t.pending with
     | [] -> ()
@@ -273,7 +295,8 @@ let complete t =
 let assume_bool t term =
   if Term.width term <> 1 then invalid_arg "Bitblast.assume_bool: width <> 1";
   Fault.check "smt.bitblast";
-  Aig.assume_lit t.g (edges t term).(0)
+  let e = (edges t term).(0) in
+  cnf (fun () -> Aig.assume_lit t.g e)
 
 let var_lits t name ~width =
   Option.map (Array.map (Aig.lit t.g)) (Hashtbl.find_opt t.vars (name, width))

@@ -12,6 +12,8 @@
 type t
 
 val create : Sqed_sat.Sat.t -> t
+(** A blaster over the given solver, with an empty term memo and its
+    own {!Aig} graph (which allocates the constant-true variable). *)
 
 val blast : t -> Term.t -> Sqed_sat.Sat.lit array
 (** Literals of the term, least-significant bit first.  This forces both

@@ -72,12 +72,12 @@ let check ?(assumptions = []) ?max_conflicts s =
           (* The per-call cap bounds the *whole* check — encoding
              included, which dominates on blast-heavy instances. *)
           Budget.within ?max_conflicts (fun () ->
-              (* Finish encoding work a budget-aborted assert left
-                 behind — solving with missing definitional clauses
-                 would be unsound. *)
-              Bitblast.complete s.blaster;
               let assumption_lits =
                 Trace.with_span sp_blast (fun () ->
+                    (* Finish encoding work a budget-aborted assert left
+                       behind — solving with missing definitional
+                       clauses would be unsound. *)
+                    Bitblast.complete s.blaster;
                     List.map
                       (fun t -> Bitblast.assume_bool s.blaster t)
                       assumptions)

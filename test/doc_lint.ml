@@ -8,8 +8,9 @@
    a module-level odoc doc-comment as its first token, and that comment
    must have some substance rather than being empty.
 
-   The solver-stack and pool interfaces (lib/sat, lib/bmc, lib/par) are
-   held to a stricter standard: every exported [val] must carry its own
+   The solver-stack and pool interfaces (lib/sat, lib/bmc, lib/par, and
+   the encoder's lib/smt/aig.mli and lib/smt/bitblast.mli) are held to a
+   stricter standard: every exported [val] must carry its own
    doc comment, attached the way odoc attaches them — either immediately
    before the declaration or immediately after it.  A comment sitting
    between two vals attaches to the one before it (the odoc rule), so it
@@ -141,8 +142,8 @@ let undocumented_vals s =
   in
   walk [] (elements s)
 
-(* Path-keyed strictness: the solver stack and the pool must document
-   every export. *)
+(* Path-keyed strictness: the solver stack, the encoder feeding it and
+   the pool must document every export. *)
 let strict path =
   let p = String.concat "/" (String.split_on_char '\\' path) in
   let has sub =
@@ -151,6 +152,7 @@ let strict path =
     at 0
   in
   has "lib/sat/" || has "lib/bmc/" || has "lib/par/"
+  || has "lib/smt/aig.mli" || has "lib/smt/bitblast.mli"
 
 let () =
   let failures = ref 0 in

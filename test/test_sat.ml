@@ -538,6 +538,115 @@ let test_compaction () =
     }
     (Sat.stats s)
 
+(* ---------------------------------------------------------------- *)
+(* Fixed-arity clause entry points                                   *)
+(* ---------------------------------------------------------------- *)
+
+(* [add_clause2]/[add_clause3] must be [add_clause] without the list:
+   the same normalization, the same restore of eliminated variables and
+   the same unsatisfiable outcome, so a solver fed through them searches
+   exactly like one fed through [add_clause]. *)
+let add_via ~direct s = function
+  | [ a; b ] when direct -> Sat.add_clause2 s a b
+  | [ a; b; c ] when direct -> Sat.add_clause3 s a b c
+  | lits -> Sat.add_clause s lits
+
+(* Early clauses, a solve, an optional simplification pass followed by a
+   clause over variables it eliminated (re-opening them), late clauses,
+   then solves with and without the assumptions.  Returns everything
+   the two entry points must agree on, and how many variables the
+   re-opening clause restored. *)
+let entry_run ~direct ~simplify (nvars, early, late, assumptions) =
+  let s = Sat.create () in
+  ignore (mk_vars s nvars);
+  List.iter (add_via ~direct s) early;
+  let r1 = Sat.solve ~assumptions s in
+  let reopened =
+    if not simplify then 0
+    else begin
+      Sat.simplify_now s;
+      let elim = List.filter (Sat.is_eliminated s) (List.init nvars Fun.id) in
+      (match elim with
+      | a :: b :: c :: _ ->
+          add_via ~direct s [ Sat.pos a; Sat.neg_of_var b; Sat.pos c ]
+      | [ a; b ] -> add_via ~direct s [ Sat.neg_of_var a; Sat.pos b ]
+      | _ -> ());
+      List.length (List.filter (fun v -> not (Sat.is_eliminated s v)) elim)
+    end
+  in
+  List.iter (add_via ~direct s) late;
+  let r2 = Sat.solve ~assumptions s in
+  let r3 = Sat.solve s in
+  let model =
+    if r3 = Sat.Sat then List.init nvars (Sat.value s) else []
+  in
+  ( ( [ r1; r2; r3 ],
+      Sat.stats s,
+      Sat.num_clauses s,
+      List.init nvars (Sat.is_eliminated s),
+      model ),
+    reopened )
+
+let gen_entry_case ~nvars : (int * int list list * int list list * int list) QCheck.Gen.t =
+  let open QCheck.Gen in
+  let lit = map2 (fun v b -> if b then Sat.pos v else Sat.neg_of_var v) (int_bound (nvars - 1)) bool in
+  let clauses lo hi =
+    int_range lo hi >>= fun n -> list_size (return n) (list_size (int_range 1 3) lit)
+  in
+  map3
+    (fun early late assumptions -> (nvars, early, late, assumptions))
+    (clauses 10 45) (clauses 0 15) (list_size (int_range 0 3) lit)
+
+let entry_print (nvars, early, late, assumptions) =
+  let cls l = String.concat " " (List.map (fun c -> "[" ^ String.concat "," (List.map string_of_int c) ^ "]") l) in
+  Printf.sprintf "nvars=%d early=%s late=%s assumptions=[%s]" nvars (cls early)
+    (cls late) (String.concat "," (List.map string_of_int assumptions))
+
+let entry_agrees ~simplify case =
+  fst (entry_run ~direct:true ~simplify case)
+  = fst (entry_run ~direct:false ~simplify case)
+
+let entry_props =
+  let arb nvars = QCheck.make ~print:entry_print (gen_entry_case ~nvars) in
+  [
+    QCheck.Test.make ~name:"add_clause2/3 = list (assumptions)"
+      ~count:300 (arb 10) (entry_agrees ~simplify:false);
+    QCheck.Test.make ~name:"add_clause2/3 = list (simplify, re-open)"
+      ~count:300 (arb 12) (entry_agrees ~simplify:true);
+  ]
+
+(* The property above only means something if its pass eliminates
+   variables and the later clause brings them back: check that it does
+   on fixed instances. *)
+let test_entry_reopens () =
+  let nvars = 12 in
+  let reopened = ref 0 in
+  for seed = 1 to 20 do
+    let early = lcg_instance ~seed ~nvars ~nclauses:30 in
+    let late = lcg_instance ~seed:(seed + 100) ~nvars ~nclauses:4 in
+    let case = (nvars, early, late, [ Sat.pos (seed mod nvars) ]) in
+    let direct, n = entry_run ~direct:true ~simplify:true case in
+    let listed, _ = entry_run ~direct:false ~simplify:true case in
+    Alcotest.(check bool) (Printf.sprintf "seed %d agrees" seed) true (direct = listed);
+    reopened := !reopened + n
+  done;
+  Alcotest.(check bool) "the pass eliminated variables a later clause re-opened"
+    true (!reopened > 0)
+
+(* While the shared per-variable capacity lasts, a new variable is a
+   counter bump and a heap entry: no allocation at all.  The capacity
+   doubles from one, so variables 513 to 1024 fit after the 513th. *)
+let test_new_var_allocates_nothing () =
+  let s = Sat.create () in
+  ignore (mk_vars s 513);
+  let before = Gc.minor_words () in
+  for _ = 514 to 1024 do
+    ignore (Sat.new_var s)
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.0)) "minor words for 511 new_var calls" 0.0 words;
+  Alcotest.(check int) "variables" 1024 (Sat.num_vars s)
+
 let suite =
   [
     Alcotest.test_case "trivial sat" `Quick test_trivial_sat;
@@ -562,4 +671,11 @@ let suite =
   @ [
       Alcotest.test_case "pinned search counters" `Quick test_pinned_counters;
       Alcotest.test_case "clause-store compaction" `Quick test_compaction;
+    ]
+  @ List.map (QCheck_alcotest.to_alcotest ~long:false) entry_props
+  @ [
+      Alcotest.test_case "add_clause2/3 re-open eliminated vars" `Quick
+        test_entry_reopens;
+      Alcotest.test_case "new_var allocates nothing within capacity" `Quick
+        test_new_var_allocates_nothing;
     ]
