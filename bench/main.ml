@@ -13,12 +13,16 @@
    cell is one solver campaign, not a repeatable microbenchmark); micro
    uses Bechamel's OLS estimator.
 
-   The synthesis campaign (fig3) and the per-bug BMC campaigns (table1,
-   fig4) fan their independent cells out over a Sqed_par.Pool of --jobs
-   worker domains (default: the SEPE_JOBS environment knob, then the
-   machine's core count).  Cells are fully independent (each owns its
-   solvers and its domain-local term universe), so results are identical
-   for every jobs value; only the wall clock changes.
+   The paper's experiments live in lib/exp and are shared with `sepe`:
+   Sqed_exp.Fig3 (E1, the synthesis campaign) and Sqed_exp.Detection
+   (E2/Table 1 and E3/Fig. 4, the per-bug BMC campaigns, with typed rows
+   journaled as JSON).  This file only dispatches to them, runs the
+   smaller experiments below and prints.  The campaigns fan their
+   independent cells out over a Sqed_par.Pool of --jobs worker domains
+   (default: the SEPE_JOBS environment knob, then the machine's core
+   count).  Cells are fully independent (each owns its solvers and its
+   domain-local term universe), so results are identical for every jobs
+   value; only the wall clock changes.
 
    A machine-readable summary of every experiment run is written to
    BENCH_sepe.json (--json PATH overrides the location).  The shared run
@@ -34,27 +38,17 @@ module Pool = Sqed_par.Pool
 module Metrics = Sqed_obs.Metrics
 module Span = Sqed_obs.Trace
 
-module Campaign = Sqed_par.Campaign
 module Verdict = Sqed_resil.Verdict
 module Solver = Sqed_smt.Solver
 module Json = Sqed_obs.Json
 module Session = Sqed_exp.Session
 
+let section = Sqed_exp.Print.section
+
 (* The bench's own flags, set once by [main] before any experiment runs. *)
 let fast = ref false
-let jobs = ref 0 (* 0 = Pool.default_jobs () *)
+let jobs = ref None (* --jobs N; None = Pool.default_jobs () *)
 let checkpoint = ref None (* --checkpoint FILE: journal + resume campaigns *)
-
-(* --handicap F: burn F x the measured CPU time inside every experiment
-   timer, multiplying br_cpu by 1+F (and stretching br_wall).  Exists
-   purely to let CI demonstrate the regression sentinel trips: a
-   handicapped run against an honest baseline must exit with the
-   regression code.  CPU time makes the trip deterministic: wall time
-   moves with whatever else shares the machine and with how many domains
-   the experiment keeps busy, CPU time hardly does. *)
-let handicap = ref 0.0
-
-let line = String.make 72 '-'
 
 (* Aggregated campaign verdicts across every experiment run this
    invocation; a degraded campaign turns into a nonzero exit at the end
@@ -63,9 +57,7 @@ let campaign = ref Verdict.empty
 
 let note_summary s = campaign := Verdict.add !campaign s
 
-let section title = Printf.printf "\n%s\n%s\n%s\n%!" line title line
-
-let jobs_used () = if !jobs > 0 then !jobs else Pool.default_jobs ()
+let jobs_used () = Option.value !jobs ~default:(Pool.default_jobs ())
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable results: one record per experiment run             *)
@@ -129,14 +121,6 @@ let timed name f =
   let k0 = Metrics.find_counter "sat.conflicts" in
   Fun.protect
     ~finally:(fun () ->
-      (* Deliberate slowdown for sentinel testing: spin until the
-         experiment's CPU time has grown by the handicap factor, before
-         the record is cut. *)
-      if !handicap > 0.0 then begin
-        let now = cpu_now () in
-        let until = now +. (!handicap *. (now -. cpu0)) in
-        while cpu_now () < until do () done
-      end;
       records :=
         {
           br_name = name;
@@ -149,193 +133,24 @@ let timed name f =
     (fun () -> Span.with_span_named ~cat:"bench" ("bench." ^ name) f)
 
 (* ------------------------------------------------------------------ *)
-(* E1 / Fig. 3: synthesis time, HPF-CEGIS vs iterative CEGIS           *)
+(* E1 / Fig. 3, E2 / Table 1 and E3 / Fig. 4 (lib/exp)                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The experiment itself lives in Sqed_exp.Fig3, shared with the
-   `sepe fig3` subcommand; the bench keeps the witness phase off so the
-   workload matches earlier bench runs. *)
+(* The bench keeps fig3's witness phase off so the workload matches
+   earlier bench runs. *)
 let fig3 () =
   note_summary
-    (Sqed_exp.Fig3.run ~fast:!fast ~jobs:(jobs_used ()) ~witness:false
+    (Sqed_exp.Fig3.run ~fast:!fast ?jobs:!jobs ~witness:false
        ?checkpoint:!checkpoint ())
 
-(* ------------------------------------------------------------------ *)
-(* E2 / Table 1: injected single-instruction bugs                      *)
-(* ------------------------------------------------------------------ *)
-
-let sepe_min_depth cfg bug =
-  match V.min_cex_depth ~method_:V.Sepe_sqed ~bug cfg with
-  | Some d -> d
-  | None -> 1
-
-let table1_focus bug =
-  Option.bind (Bug.table1_row bug) Sqed_qed.Equiv_table.key_of_name
-
-(* A per-bug campaign whose task renders one table row: supervised
-   fan-out with checkpoint/resume, like fig3.  A journaled row is
-   reprinted verbatim, a failed bug prints one FAILED line and no row. *)
-let campaign_rows ~budget ~key label run_bug bugs =
-  Campaign.run ~jobs:(jobs_used ()) ~task_budget:budget
-    ?checkpoint:
-      (Option.map
-         (fun path ->
-           ( path,
-             {
-               Campaign.encode = (fun row -> Json.String row);
-               decode = Json.to_string_opt;
-             } ))
-         !checkpoint)
-    ~detail:Fun.id ~key label
-    (fun bug -> Verdict.Ok (run_bug bug))
-    bugs
-
-(* Rows print in catalogue order once every bug has finished. *)
-let print_rows (verdicts, summary) =
-  List.iter (function Verdict.Ok row -> print_endline row | _ -> ()) verdicts;
-  note_summary summary
-
 let table1 () =
-  section
-    "Table 1 - injected single-instruction bugs\n\
-     (SEPE-SQED detects each; SQED, checked at the same depth with more \
-     time, reports nothing)";
-  let base = Config.tiny in
-  let budget = if !fast then 120.0 else 600.0 in
-  Printf.printf
-    "core: %s (+m for MULH); budget %.0fs/cell.\n\
-     The [bad] state is persistent (idle inputs freeze a violated state),\n\
-     so one SAT query at depth D witnesses the bug and one UNSAT query at\n\
-     depth D covers every depth <= D.\n\n"
-    (Config.to_string base) budget;
-  Printf.printf "%-6s | %-42s | %-16s | %s\n" "Type" "Function" "SEPE-SQED"
-    "SQED";
-  Printf.printf "%s\n" line;
-  (* One pool task per injected bug; each task runs the full SEPE-SQED
-     cell then its SQED control sequentially (the SQED budget depends on
-     the SEPE trace).  Rows print in table order once all bugs finish. *)
-  let run_bug bug =
-      let cfg = Bug.config_for bug base in
-      let min_depth = sepe_min_depth cfg bug in
-      (* Short equivalent sequences: incremental sweep from just below the
-         class minimum (finds the shortest trace; the intermediate UNSAT
-         depths are cheap).  Long sequences (MULH): one SAT query above
-         the minimum, avoiding the expensive deep UNSAT sweep — sound by
-         bad-persistence. *)
-      (* Witness (SAT) queries may soundly focus the original-instruction
-         stream on the mutated class. *)
-      let focus = table1_focus bug in
-      let sepe =
-        if min_depth <= 10 then
-          V.run ~bug ?focus ~method_:V.Sepe_sqed ~bound:(min_depth + 4)
-            ~start_bound:(max 1 (min_depth - 2))
-            ~time_budget:budget cfg
-        else
-          (* The witness query for a 7-instruction sequence over the
-             multiplier is the hardest cell of the table (the paper's
-             slowest row too); start exactly at the class minimum and
-             give it a triple budget. *)
-          V.run ~bug ?focus ~method_:V.Sepe_sqed ~bound:(min_depth + 4)
-            ~start_bound:min_depth ~time_budget:(3.0 *. budget) cfg
-      in
-      let sepe_cell, sqed_bound, sqed_budget =
-        match V.trace sepe with
-        | Some t ->
-            ( Printf.sprintf "%.2fs (d%s%d)"
-                sepe.V.stats.Sqed_bmc.Engine.solve_time
-                (if min_depth <= 10 then "=" else "<=")
-                t.Trace.length,
-              (* Cap the SQED sweep at a comparable shallow depth; beyond
-                 the class minimum EDDI UNSAT proofs explode and add no
-                 information. *)
-              min t.Trace.length 9,
-              Float.max 180.0 (3.0 *. sepe.V.stats.Sqed_bmc.Engine.solve_time)
-            )
-        | None -> (V.outcome_to_string sepe, 8, budget)
-      in
-      let sqed =
-        V.run ~bug ~method_:V.Sqed ~bound:sqed_bound ~start_bound:6
-          ~time_budget:sqed_budget cfg
-      in
-      let sqed_cell =
-        if V.detected sqed then
-          Printf.sprintf "DETECTED?! %.2fs"
-            sqed.V.stats.Sqed_bmc.Engine.solve_time
-        else
-          match sqed.V.outcome with
-          | Sqed_bmc.Engine.No_counterexample ->
-              Printf.sprintf "-  (clean to d=%d)" sqed_bound
-          | Sqed_bmc.Engine.Gave_up k ->
-              let why =
-                match sqed.V.stats.Sqed_bmc.Engine.gave_up with
-                | Some r -> Sqed_resil.Budget.string_of_reason r
-                | None -> "budget"
-              in
-              Printf.sprintf "-  (%s at d=%d)" why k
-          | Sqed_bmc.Engine.Counterexample _ -> assert false
-      in
-      Printf.sprintf "%-6s | %-42s | %-16s | %s"
-        (match Bug.table1_row bug with Some r -> r | None -> "?")
-        (Bug.describe bug) sepe_cell sqed_cell
-  in
-  let bugs =
-    if !fast then [ Bug.Bug_add; Bug.Bug_xor; Bug.Bug_sw ]
-    else Bug.all_single
-  in
-  print_rows
-    (campaign_rows ~budget
-       ~key:(fun bug -> "table1/" ^ Bug.name bug)
-       "table1" run_bug bugs)
-
-(* ------------------------------------------------------------------ *)
-(* E3 / Fig. 4: multiple-instruction bugs                              *)
-(* ------------------------------------------------------------------ *)
+  note_summary
+    (Sqed_exp.Detection.table1 ~fast:!fast ?jobs:!jobs ?checkpoint:!checkpoint
+       ())
 
 let fig4 () =
-  section
-    "Fig. 4 - multiple-instruction bugs: detection time and counterexample \
-     length,\nSQED vs SEPE-SQED (both detect; ratios > 1 favour SEPE-SQED)";
-  let base = Config.tiny in
-  let bound = 14 in
-  let budget = if !fast then 180.0 else 900.0 in
-  Printf.printf "core: %s; BMC bound %d; budget %.0fs/cell\n\n"
-    (Config.to_string base) bound budget;
-  Printf.printf "%-18s %14s %14s %9s %9s\n" "bug" "SQED s(len)" "SEPE s(len)"
-    "t-ratio" "len-ratio";
-  let cell r =
-    match V.trace r with
-    | Some t ->
-        ( Printf.sprintf "%8.2f(%2d)" r.V.stats.Sqed_bmc.Engine.solve_time
-            t.Trace.length,
-          Some (r.V.stats.Sqed_bmc.Engine.solve_time, t.Trace.length) )
-    | None ->
-        ( (match r.V.outcome with
-          | Sqed_bmc.Engine.Gave_up _ -> "  gave-up"
-          | _ -> "    clean"),
-          None )
-  in
-  let run_bug bug =
-    let cfg = Bug.config_for bug base in
-    let sqed = V.run ~bug ~method_:V.Sqed ~bound ~time_budget:budget cfg in
-    let sepe = V.run ~bug ~method_:V.Sepe_sqed ~bound ~time_budget:budget cfg in
-    let c1, m1 = cell sqed and c2, m2 = cell sepe in
-    let ratios =
-      match (m1, m2) with
-      | Some (t1, l1), Some (t2, l2) ->
-          Printf.sprintf "%9.2f %9.2f" (t1 /. t2)
-            (Float.of_int l1 /. Float.of_int l2)
-      | _ -> ""
-    in
-    Printf.sprintf "%-18s %14s %14s %s" (Bug.name bug) c1 c2 ratios
-  in
-  let bugs =
-    if !fast then [ Bug.Bug_fwd_mem_rs1; Bug.Bug_load_use_stall ]
-    else Bug.all_multi
-  in
-  print_rows
-    (campaign_rows ~budget
-       ~key:(fun bug -> "fig4/" ^ Bug.name bug)
-       "fig4" run_bug bugs)
+  note_summary
+    (Sqed_exp.Detection.fig4 ~fast:!fast ?jobs:!jobs ?checkpoint:!checkpoint ())
 
 (* ------------------------------------------------------------------ *)
 (* E4: classical CEGIS fails within budget                             *)
@@ -512,7 +327,9 @@ let portfolio () =
        k k);
   let cfg = Config.tiny_m in
   let bug = Bug.Bug_mulh in
-  let min_depth = sepe_min_depth cfg bug in
+  let min_depth =
+    Option.value ~default:1 (V.min_cex_depth ~method_:V.Sepe_sqed ~bug cfg)
+  in
   let budget = if !fast then 600.0 else 1800.0 in
   Printf.printf "core: %s; witness query at depth %d; budget %.0fs/arm\n\n"
     (Config.to_string cfg) min_depth budget;
@@ -640,11 +457,10 @@ let all =
     ("micro", micro);
   ]
 
-let main session names fast' jobs' json checkpoint' handicap' =
+let main session names fast' jobs' json checkpoint' =
   fast := fast';
-  jobs := Option.value jobs' ~default:0;
+  jobs := jobs';
   checkpoint := checkpoint';
-  handicap := handicap';
   let label = if names = [] then "all" else String.concat "+" names in
   let names = if names = [] then List.map fst all else names in
   let payload = lazy (bench_payload ()) in
@@ -694,12 +510,7 @@ let () =
         "Where to write the machine-readable summary."
     $ opt Arg.(some string) None "checkpoint" "FILE"
         "Journal completed fig3, table1 and fig4 cells to $(docv) and resume \
-         from it: a rerun with the same file skips journaled cells."
-    $ opt
-        (checked Arg.float "a non-negative factor" (fun f -> f >= 0.0))
-        0.0 "handicap" "F"
-        "Burn $(docv) times each experiment's measured CPU time before \
-         recording it, to show that the $(b,--baseline) sentinel trips.")
+         from it: a rerun with the same file skips journaled cells.")
   |> Cmd.v
        (Cmd.info "bench" ~exits:Session.exits
           ~doc:"Regenerate the paper's tables and figures.")

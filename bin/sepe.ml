@@ -736,9 +736,7 @@ let fig3_cmd =
   in
   let run obs fast no_witness jobs checkpoint =
     campaign ?jobs ~fast "fig3" obs @@ fun () ->
-    Sqed_exp.Fig3.run ~fast
-      ~jobs:(Option.value jobs ~default:0)
-      ~witness:(not no_witness) ?checkpoint ()
+    Sqed_exp.Fig3.run ~fast ?jobs ~witness:(not no_witness) ?checkpoint ()
   in
   Cmd.v
     (info "fig3"

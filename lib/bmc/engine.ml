@@ -32,10 +32,10 @@ type stats = {
   gave_up : Sqed_resil.Budget.reason option;
 }
 
-(* Shallow bounds solve in milliseconds; cloning the clause database and
-   spawning domains there would cost more than the search.  The
-   portfolio engages once the unrolling is deep enough that single-core
-   solve time dominates. *)
+(* Shallow bounds solve in milliseconds; cloning the clause database
+   into the portfolio's workers there would cost more than the search.
+   The portfolio engages once the unrolling is deep enough that the
+   search dominates the cloning. *)
 let default_portfolio_from = 4
 
 let bool_of bv = not (Bv.is_zero bv)

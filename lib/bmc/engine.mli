@@ -50,7 +50,8 @@ val check :
     shortest possible counterexample length is known; constraints are
     still asserted for every step.  Depths at or past
     {!default_portfolio_from} gate portfolio solving on — shallow
-    queries are cheap enough that clone/spawn overhead would dominate —
+    queries are cheap enough that cloning the clause database would
+    dominate —
     which has no effect unless the run sets a portfolio width above 1
     ({!Sqed_smt.Solver.config}). *)
 

@@ -16,15 +16,10 @@ module Config = Sqed_proc.Config
 module Bug = Sqed_proc.Bug
 module V = Sepe_sqed.Verifier
 module Synth = Sqed_synth
-module Pool = Sqed_par.Pool
 module Json = Sqed_obs.Json
 module Metrics = Sqed_obs.Metrics
 module Campaign = Sqed_par.Campaign
 module Verdict = Sqed_resil.Verdict
-
-let line = String.make 72 '-'
-
-let section title = Printf.printf "\n%s\n%s\n%s\n%!" line title line
 
 let engine_name = function `Hpf -> "hpf" | `Iter -> "iter"
 
@@ -54,10 +49,9 @@ let codec =
         | _ -> None);
   }
 
-let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
+let run ?(fast = false) ?jobs ?(witness = false) ?checkpoint ?cases
     ?seeds ?k ?time_budget () =
-  let jobs = if jobs > 0 then jobs else Pool.default_jobs () in
-  section
+  Print.section
     "Fig. 3 - time to synthesize equivalent programs per original \
      instruction\n(HPF-CEGIS vs iterative CEGIS; the classical baseline is \
      E4)";
@@ -111,7 +105,7 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
           Synth.Hpf.synthesize ~options ~spec ~library:Synth.Library_.default ()
         in
         Verdict.Ok
-          ( r.Synth.Engine.elapsed,
+          ( Print.seconds r.Synth.Engine.elapsed,
             r.Synth.Engine.stats.Synth.Cegis.multisets_tried,
             r.Synth.Engine.multisets_total )
     | `Iter ->
@@ -119,12 +113,12 @@ let run ?(fast = false) ?(jobs = 0) ?(witness = false) ?checkpoint ?cases
           Synth.Iterative.synthesize ~options ~spec
             ~library:Synth.Library_.default
         in
-        Verdict.Ok (r.Synth.Engine.elapsed, 0, 0)
+        Verdict.Ok (Print.seconds r.Synth.Engine.elapsed, 0, 0)
   in
   (* Journaled cells are skipped; their stored numbers enter the table as
      if just computed. *)
   let verdicts, summary =
-    Campaign.run ~jobs ~task_budget:budget
+    Campaign.run ?jobs ~task_budget:budget
       ?checkpoint:(Option.map (fun path -> (path, codec)) checkpoint)
       ~key:cell_key "fig3" run_cell tasks
   in

@@ -14,8 +14,8 @@ val run :
   unit ->
   Sqed_resil.Verdict.summary
 (** [run ~fast ~jobs ~witness ()] prints the Fig. 3 table and returns
-    the campaign's verdict summary (all-ok on a clean run).  [jobs <= 0]
-    means [Pool.default_jobs ()].  [witness] appends one tiny BMC
+    the campaign's verdict summary (all-ok on a clean run).  [?jobs]
+    goes to {!Sqed_par.Campaign.run}.  [witness] appends one tiny BMC
     verification (SEPE-SQED on the ADD mutation) so traces of this
     command also exercise the BMC layer.
 
@@ -24,6 +24,8 @@ val run :
     the table (its row shows ["-"] for the missing mean) instead of
     aborting the run.  [?checkpoint FILE] journals each completed cell to
     [FILE] under [fig3/<case>/<engine>/<seed>]; a rerun with the same file
-    resumes, skipping journaled cells and reusing their stored numbers.  [?cases], [?seeds],
+    resumes, skipping journaled cells and reusing their stored numbers;
+    cell times are kept at journal precision ({!Print.seconds}), so a
+    resumed table prints the same digits.  [?cases], [?seeds],
     [?k] and [?time_budget] override the fast/full defaults (used by the
     resilience smoke test to shrink the campaign). *)

@@ -50,9 +50,9 @@ val create : ?config:config -> unit -> t
     {!config}[ ()]).  The portfolio width is clamped to at least 1.  A
     width above 1 changes nothing by itself: a [check] dispatches to
     {!Sqed_sat.Portfolio.solve} only while {!set_portfolio_active} has
-    gated the portfolio on, so callers decide per query whether the
-    clone/spawn overhead is worth it (the BMC engine enables it past a
-    depth threshold). *)
+    gated the portfolio on, so callers decide per query whether cloning
+    the clause database into the workers is worth it (the BMC engine
+    enables it past a depth threshold). *)
 
 val set_portfolio_active : t -> bool -> unit
 (** Per-query portfolio gate (off on a fresh solver).  No-op unless the

@@ -8,9 +8,9 @@
    a module-level odoc doc-comment as its first token, and that comment
    must have some substance rather than being empty.
 
-   The solver-stack and pool interfaces (lib/sat, lib/bmc, lib/par, and
-   the encoder's lib/smt/aig.mli and lib/smt/bitblast.mli) are held to a
-   stricter standard: every exported [val] must carry its own
+   The solver-stack, pool and experiment interfaces (lib/sat, lib/bmc,
+   lib/par, lib/exp, and the encoder's lib/smt/aig.mli and
+   lib/smt/bitblast.mli) are held to a stricter standard: every exported [val] must carry its own
    doc comment, attached the way odoc attaches them — either immediately
    before the declaration or immediately after it.  A comment sitting
    between two vals attaches to the one before it (the odoc rule), so it
@@ -142,8 +142,8 @@ let undocumented_vals s =
   in
   walk [] (elements s)
 
-(* Path-keyed strictness: the solver stack, the encoder feeding it and
-   the pool must document every export. *)
+(* Path-keyed strictness: the solver stack, the encoder feeding it, the
+   pool and the experiments must document every export. *)
 let strict path =
   let p = String.concat "/" (String.split_on_char '\\' path) in
   let has sub =
@@ -151,7 +151,7 @@ let strict path =
     let rec at i = i + ls <= lp && (String.sub p i ls = sub || at (i + 1)) in
     at 0
   in
-  has "lib/sat/" || has "lib/bmc/" || has "lib/par/"
+  has "lib/sat/" || has "lib/bmc/" || has "lib/par/" || has "lib/exp/"
   || has "lib/smt/aig.mli" || has "lib/smt/bitblast.mli"
 
 let () =

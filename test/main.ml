@@ -4,6 +4,7 @@ let () =
       ("obs", Test_obs.suite);
       ("diff", Test_diff.suite);
       ("session", Test_session.suite);
+      ("detection", Test_detection.suite);
       ("bv", Test_bv.suite);
       ("sat", Test_sat.suite);
       ("simplify", Test_simplify.suite);

@@ -84,7 +84,43 @@ let test_run_precedence () =
                ~payload:(fun () -> wall run_wall)
                (fun () -> summary)))
         [ (1.0, false); (100.0, true) ])
-    summaries
+    summaries;
+  (* A bench-shaped payload: the sentinel gates each experiment's
+     process CPU time, so a run whose fig3 CPU time triples at the same
+     wall time and work trips it. *)
+  let bench cpu =
+    Json.Obj
+      [
+        ( "experiments",
+          Json.List
+            [
+              Json.Obj
+                [
+                  ("name", Json.String "fig3");
+                  ("wall_s", Json.Float 40.0);
+                  ("cpu_s", Json.Float cpu);
+                  ("clauses", Json.Int 7_790_373);
+                  ("conflicts", Json.Int 253_086);
+                ];
+            ] );
+      ]
+  in
+  let config = Provenance.config ~jobs:1 ~fast:true in
+  for _ = 1 to 3 do
+    History.append path
+      (History.entry ~kind:"bench" ~label:"fig3"
+         ~provenance:(History.provenance ~config ())
+         ~run:(bench 35.0))
+  done;
+  List.iter
+    (fun (cpu, code) ->
+      Alcotest.(check int)
+        (Printf.sprintf "bench, cpu_s %.0f" cpu)
+        code
+        (Session.run s ~kind:"bench" ~label:"fig3" ~jobs:1 ~fast:true
+           ~payload:(fun () -> bench cpu)
+           (fun () -> Verdict.empty)))
+    [ (35.0, 0); (105.0, 5) ]
 
 let test_ledger_jobs () =
   with_session_state @@ fun path ->
